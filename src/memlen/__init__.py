@@ -40,7 +40,6 @@ from .forward import (
     Reconstruction,
     ReconstructionScheme,
     StoppingDecision,
-    WordList,
     available_depth,
     decide_p,
     decide_r,

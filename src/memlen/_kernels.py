@@ -1,28 +1,26 @@
-"""Hot numeric kernels, JIT-compiled with numba when available.
+"""Hot numeric kernels, one body each.
 
-Set MEMLEN_DISABLE_NUMBA=1 to force the pure numpy/Python fallback path.
-Both paths are numerically identical (same scan order, same RNG draws);
-``benchmarks/bench_kernels.py`` compares their throughput.
+Counting over the sample (occurrence scans, dense block ids, the
+discrepancy accumulation) is vectorised numpy.  The loops that cannot be
+vectorised, the samplers and scheme R's recurrence scan, are written once in
+plain Python and compiled in nopython mode when numba is importable (the
+optional ``jit`` extra); without numba the same bodies run as Python.  The
+samplers draw the same uniforms in the same order either way, so a seed gives
+the same sample with or without numba.
 """
 
-import os
-
 import numpy as np
-
-_DISABLE = os.environ.get("MEMLEN_DISABLE_NUMBA", "").lower() in {"1", "true", "yes"}
 
 try:
     from numba import njit as _njit
 
-    HAVE_NUMBA = True
+    NUMBA_ENABLED = True
 except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-NUMBA_ENABLED = HAVE_NUMBA and not _DISABLE
+    NUMBA_ENABLED = False
 
 
 def jit(fn):
-    """Apply nopython JIT when enabled, otherwise return fn unchanged."""
+    """Apply nopython JIT when numba is importable, otherwise return fn."""
     if NUMBA_ENABLED:
         return _njit(cache=True)(fn)
     return fn
@@ -33,41 +31,6 @@ def jit(fn):
 # ---------------------------------------------------------------------------
 
 
-def _occurrence_positions_loop(data, word, lo, hi):
-    # end positions j in [lo, hi] where word == data[j-|w|+1 .. j]
-    k = len(word)
-    out = np.empty(len(data), dtype=np.int64)
-    m = 0
-    start = lo if lo > k - 1 else k - 1
-    for j in range(start, hi + 1):
-        ok = True
-        for t in range(k):
-            if data[j - k + 1 + t] != word[t]:
-                ok = False
-                break
-        if ok:
-            out[m] = j
-            m += 1
-    return out[:m]
-
-
-_occurrence_positions_jit = jit(_occurrence_positions_loop)
-
-
-def _occurrence_positions_numpy(data, word, lo, hi):
-    k = len(word)
-    start = max(lo, k - 1)
-    if start > hi:
-        return np.empty(0, dtype=np.int64)
-    if k == 0:
-        return np.arange(start, hi + 1, dtype=np.int64)
-    win = np.lib.stride_tricks.sliding_window_view(data, k)
-    ends = np.arange(k - 1, len(data), dtype=np.int64)
-    mask = np.all(win == word, axis=1)
-    pos = ends[mask]
-    return pos[(pos >= start) & (pos <= hi)]
-
-
 def occurrence_positions(data, word, lo, hi):
     """End positions j in [lo, hi] at which ``word`` occurs in ``data``.
 
@@ -75,15 +38,15 @@ def occurrence_positions(data, word, lo, hi):
     """
     data = np.ascontiguousarray(data, dtype=np.int64)
     word = np.ascontiguousarray(word, dtype=np.int64)
+    k = len(word)
+    lo = max(lo, k - 1, 0)
     hi = min(hi, len(data) - 1)
-    if len(word) == 0:
-        lo = max(lo, 0)
-        if lo > hi:
-            return np.empty(0, dtype=np.int64)
+    if lo > hi:
+        return np.empty(0, dtype=np.int64)
+    if k == 0:
         return np.arange(lo, hi + 1, dtype=np.int64)
-    if NUMBA_ENABLED:
-        return _occurrence_positions_jit(data, word, lo, hi)
-    return _occurrence_positions_numpy(data, word, lo, hi)
+    win = np.lib.stride_tricks.sliding_window_view(data[lo - k + 1 : hi + 1], k)
+    return np.flatnonzero(np.all(win == word, axis=1)) + lo
 
 
 # ---------------------------------------------------------------------------
@@ -96,12 +59,9 @@ def occurrence_positions(data, word, lo, hi):
 # ---------------------------------------------------------------------------
 
 
-def _rank_dense_numpy(keys):
-    uniq, inv = np.unique(keys, return_inverse=True)
-    return inv.astype(np.int32), len(uniq)
-
-
-def _extend_ids_numpy(sym_ids, prev_ids, n_prev, length):
+def extend_block_ids(sym_ids, prev_ids, n_prev, length):
+    """Dense lex-ordered ids for length-``length`` blocks from length-1 ids
+    and the ids of the previous length."""
     n = len(sym_ids)
     out = np.full(n, -1, dtype=np.int32)
     j0 = length - 1
@@ -109,44 +69,9 @@ def _extend_ids_numpy(sym_ids, prev_ids, n_prev, length):
         return out, 0
     first = sym_ids[: n - j0].astype(np.int64)
     trail = prev_ids[j0:].astype(np.int64)
-    keys = first * (n_prev + 1) + trail
-    ids, n_ids = _rank_dense_numpy(keys)
-    out[j0:] = ids
-    return out, n_ids
-
-
-def _extend_ids_loop(sym_ids, prev_ids, n_prev, length):
-    n = len(sym_ids)
-    out = np.full(n, -1, dtype=np.int32)
-    j0 = length - 1
-    if j0 >= n:
-        return out, 0
-    m = n - j0
-    keys = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        keys[i] = sym_ids[i] * (n_prev + 1) + prev_ids[j0 + i]
-    order = np.argsort(keys, kind="mergesort")
-    rank = 0
-    prev_key = np.int64(-1)
-    for i in range(m):
-        o = order[i]
-        if i == 0 or keys[o] != prev_key:
-            if i > 0:
-                rank += 1
-            prev_key = keys[o]
-        out[j0 + o] = rank
-    return out, rank + 1
-
-
-_extend_ids_jit = jit(_extend_ids_loop)
-
-
-def extend_block_ids(sym_ids, prev_ids, n_prev, length):
-    """Dense lex-ordered ids for length-``length`` blocks from length-1 ids
-    and the ids of the previous length."""
-    if NUMBA_ENABLED:
-        return _extend_ids_jit(sym_ids, prev_ids, n_prev, length)
-    return _extend_ids_numpy(sym_ids, prev_ids, n_prev, length)
+    uniq, inv = np.unique(first * (n_prev + 1) + trail, return_inverse=True)
+    out[j0:] = inv
+    return out, len(uniq)
 
 
 # ---------------------------------------------------------------------------
@@ -160,36 +85,11 @@ def extend_block_ids(sym_ids, prev_ids, n_prev, length):
 # ---------------------------------------------------------------------------
 
 
-def _accumulate_discrepancy_loop(
+def accumulate_discrepancy(
     ids_w, ids_w1, ids_m1, ids_m, cnt_w1, ctx_w, cnt_m, ctx_m1, thresh, n, wl, m, out
 ):
-    any_hit = False
-    for j in range(m - 2, n):
-        trip = ids_m[j + 1]
-        if cnt_m[trip] <= thresh:
-            continue
-        any_hit = True
-        if wl == 0:
-            p_w = cnt_w1[ids_w1[j + 1]] / n
-            u = 0
-        else:
-            u = ids_w[j]
-            p_w = cnt_w1[ids_w1[j + 1]] / ctx_w[u]
-        p_zw = cnt_m[trip] / ctx_m1[ids_m1[j]]
-        d = p_w - p_zw
-        if d < 0.0:
-            d = -d
-        if d > out[u]:
-            out[u] = d
-    return any_hit
-
-
-_accumulate_discrepancy_jit = jit(_accumulate_discrepancy_loop)
-
-
-def _accumulate_discrepancy_numpy(
-    ids_w, ids_w1, ids_m1, ids_m, cnt_w1, ctx_w, cnt_m, ctx_m1, thresh, n, wl, m, out
-):
+    """Fold one extension length into ``out``; False when no extension
+    string passes the gate (deeper lengths cannot pass either)."""
     j = np.arange(m - 2, n)
     trip = ids_m[j + 1]
     gate = cnt_m[trip] > thresh
@@ -208,18 +108,13 @@ def _accumulate_discrepancy_numpy(
     return True
 
 
-def accumulate_discrepancy(*args):
-    if NUMBA_ENABLED:
-        return _accumulate_discrepancy_jit(*args)
-    return _accumulate_discrepancy_numpy(*args)
-
-
 # ---------------------------------------------------------------------------
-# Recurrence scans
+# Recurrence scan
 # ---------------------------------------------------------------------------
 
 
-def _first_recurrence_after(data, end, length, start_t, n):
+@jit
+def first_recurrence_after(data, end, length, start_t, n):
     # smallest t >= start_t with data[end-length+1+t .. end+t] == block at end,
     # end+t <= n; 0 if none within range.
     for t in range(start_t, n - end + 1):
@@ -233,59 +128,14 @@ def _first_recurrence_after(data, end, length, start_t, n):
     return 0
 
 
-first_recurrence_after = jit(_first_recurrence_after)
-
-
-def _recurrences_before_loop(data, end, k, count):
-    # offsets t1 < t2 < ... (at most count) with the length-k block ending at
-    # end recurring at end - t; truncated when the copy leaves the array.
-    out = np.empty(count, dtype=np.int64)
-    m = 0
-    t = 1
-    while m < count and end - t - k + 1 >= 0:
-        ok = True
-        for s in range(k):
-            if data[end - t - k + 1 + s] != data[end - k + 1 + s]:
-                ok = False
-                break
-        if ok:
-            out[m] = t
-            m += 1
-        t += 1
-    return out[:m]
-
-
-recurrences_before = jit(_recurrences_before_loop)
-
-
-def _recurrences_after_loop(data, end, k, count):
-    out = np.empty(count, dtype=np.int64)
-    m = 0
-    t = 1
-    n = len(data) - 1
-    while m < count and end + t <= n:
-        ok = True
-        for s in range(k):
-            if data[end + t - k + 1 + s] != data[end - k + 1 + s]:
-                ok = False
-                break
-        if ok:
-            out[m] = t
-            m += 1
-        t += 1
-    return out[:m]
-
-
-recurrences_after = jit(_recurrences_after_loop)
-
-
 # ---------------------------------------------------------------------------
-# Samplers.  Each consumes exactly one uniform per generated step so that the
-# numba and fallback paths produce identical streams.
+# Samplers.  Each consumes exactly one uniform per generated step, so the
+# compiled and the interpreted body produce identical streams.
 # ---------------------------------------------------------------------------
 
 
-def _sample_finite_chain(rng, n_steps, ctx0, next_ctx, cum, out_syms):
+@jit
+def sample_finite_chain(rng, n_steps, ctx0, next_ctx, cum, out_syms):
     # ctx0: initial context id; next_ctx[ctx, choice] -> context id;
     # cum[ctx]: cumulative row probabilities; out_syms[ctx, choice] -> symbol.
     n_choices = cum.shape[1]
@@ -301,10 +151,8 @@ def _sample_finite_chain(rng, n_steps, ctx0, next_ctx, cum, out_syms):
     return out
 
 
-sample_finite_chain = jit(_sample_finite_chain)
-
-
-def _step_geometric_jump(u, s):
+@jit
+def step_geometric_jump(u, s):
     # One transition of the countable-state chain with rows
     #   P(s -> j)   = 2^-j-2   for 0 <= j < s
     #   P(s -> s)   = 2^-s-1
@@ -325,85 +173,45 @@ def _step_geometric_jump(u, s):
     return s + r
 
 
-step_geometric_jump = jit(_step_geometric_jump)
-
-
-def _sample_geometric_jump(rng, n_steps, burn_in, s0):
+@jit
+def sample_geometric_jump(rng, n_steps, burn_in, s0):
     out = np.empty(n_steps, dtype=np.int64)
     s = s0
     for i in range(burn_in):
-        s = _STEP(rng.random(), s)
+        s = step_geometric_jump(rng.random(), s)
     for i in range(n_steps):
-        s = _STEP(rng.random(), s)
+        s = step_geometric_jump(rng.random(), s)
         out[i] = s
     return out
 
 
-# numba needs the callee resolved at compile time; bind explicitly
-_STEP = step_geometric_jump
-if NUMBA_ENABLED:
-
-    @_njit(cache=True)
-    def sample_geometric_jump(rng, n_steps, burn_in, s0):
-        out = np.empty(n_steps, dtype=np.int64)
-        s = s0
-        for i in range(burn_in):
-            s = step_geometric_jump(rng.random(), s)
-        for i in range(n_steps):
-            s = step_geometric_jump(rng.random(), s)
-            out[i] = s
-        return out
-
-    @_njit(cache=True)
-    def sample_perturbed_jump(rng, n_steps, burn_in, s0, sched_prev, sched_cur):
-        # Order-2 variant: when (prev, cur) equals a scheduled pair
-        # (sched_prev[h], sched_cur[h]) the successor probabilities of states
-        # cur and cur+1 are interchanged; realised by swapping the drawn value.
-        out = np.empty(n_steps, dtype=np.int64)
-        prev = s0
-        cur = s0
-        total = burn_in + n_steps
-        for i in range(total):
-            nxt = step_geometric_jump(rng.random(), cur)
-            for h in range(len(sched_prev)):
-                if prev == sched_prev[h] and cur == sched_cur[h]:
-                    if nxt == cur:
-                        nxt = cur + 1
-                    elif nxt == cur + 1:
-                        nxt = cur
-                    break
-            prev = cur
-            cur = nxt
-            if i >= burn_in:
-                out[i - burn_in] = cur
-        return out
-
-else:
-
-    sample_geometric_jump = _sample_geometric_jump
-
-    def sample_perturbed_jump(rng, n_steps, burn_in, s0, sched_prev, sched_cur):
-        out = np.empty(n_steps, dtype=np.int64)
-        prev = s0
-        cur = s0
-        total = burn_in + n_steps
-        for i in range(total):
-            nxt = step_geometric_jump(rng.random(), cur)
-            for h in range(len(sched_prev)):
-                if prev == sched_prev[h] and cur == sched_cur[h]:
-                    if nxt == cur:
-                        nxt = cur + 1
-                    elif nxt == cur + 1:
-                        nxt = cur
-                    break
-            prev = cur
-            cur = nxt
-            if i >= burn_in:
-                out[i - burn_in] = cur
-        return out
+@jit
+def sample_perturbed_jump(rng, n_steps, burn_in, s0, sched_prev, sched_cur):
+    # Order-2 variant: when (prev, cur) equals a scheduled pair
+    # (sched_prev[h], sched_cur[h]) the successor probabilities of states
+    # cur and cur+1 are interchanged; realised by swapping the drawn value.
+    out = np.empty(n_steps, dtype=np.int64)
+    prev = s0
+    cur = s0
+    total = burn_in + n_steps
+    for i in range(total):
+        nxt = step_geometric_jump(rng.random(), cur)
+        for h in range(len(sched_prev)):
+            if prev == sched_prev[h] and cur == sched_cur[h]:
+                if nxt == cur:
+                    nxt = cur + 1
+                elif nxt == cur + 1:
+                    nxt = cur
+                break
+        prev = cur
+        cur = nxt
+        if i >= burn_in:
+            out[i - burn_in] = cur
+    return out
 
 
-def _sample_ladder_chain(rng, n_steps, s0):
+@jit
+def sample_ladder_chain(rng, n_steps, s0):
     # Rows: 0 -> 1 and 1 -> 2 surely; s > 1 -> 0 or s+1 with probability 1/2.
     out = np.empty(n_steps, dtype=np.int64)
     s = s0
@@ -421,10 +229,8 @@ def _sample_ladder_chain(rng, n_steps, s0):
     return out
 
 
-sample_ladder_chain = jit(_sample_ladder_chain)
-
-
-def _sample_renewal(rng, n_total, first_one, gap_cum, geom_p):
+@jit
+def sample_renewal(rng, n_total, first_one, gap_cum, geom_p):
     # Binary sample with ones at renewal instants.  gap_cum: cumulative gap
     # law (finite support, gaps 1..len); empty -> geometric(geom_p) gaps.
     out = np.zeros(n_total, dtype=np.int64)
@@ -442,6 +248,3 @@ def _sample_renewal(rng, n_total, first_one, gap_cum, geom_p):
             g = 1 + int(np.log1p(-u) / np.log1p(-geom_p))
         pos += g
     return out
-
-
-sample_renewal = jit(_sample_renewal)

@@ -30,24 +30,15 @@ class TestVerdict:
         return "YES" if self.passed else "NO"
 
 
-def _discrepancy_cache(index: CountIndex) -> dict:
-    cache = getattr(index, "_disc_cache", None)
-    if cache is None:
-        cache = {}
-        index._disc_cache = cache
-    return cache
-
-
 def discrepancy_by_length(index: CountIndex, word_length: int, gamma: float) -> np.ndarray:
     """Test statistic for every observed word of the given length at once.
 
     Entry u is the statistic of the word with dense id u.  Words without any
     frequent extension score 0 by convention.
     """
-    cache = _discrepancy_cache(index)
     key = (word_length, gamma)
-    if key in cache:
-        return cache[key]
+    if key in index.discrepancy_memo:
+        return index.discrepancy_memo[key]
 
     n = index.n
     if word_length >= 1:
@@ -55,7 +46,7 @@ def discrepancy_by_length(index: CountIndex, word_length: int, gamma: float) -> 
     else:
         n_out = 1
     out = np.zeros(n_out, dtype=np.float64)
-    l_max = _max_frequent_cached(index, gamma)
+    l_max = index.max_frequent_length(gamma)
     if n_out and word_length + 2 <= l_max and word_length + 1 - 1 <= n:
         thr = float(n) ** (1.0 - gamma)
         dummy_ids = index._sym_ids
@@ -84,16 +75,8 @@ def discrepancy_by_length(index: CountIndex, word_length: int, gamma: float) -> 
             )
             if not hit:
                 break
-    cache[key] = out
+    index.discrepancy_memo[key] = out
     return out
-
-
-def _max_frequent_cached(index: CountIndex, gamma: float) -> int:
-    cache = _discrepancy_cache(index)
-    key = ("lmax", gamma)
-    if key not in cache:
-        cache[key] = index.max_frequent_length(gamma)
-    return cache[key]
 
 
 def max_discrepancy(
@@ -116,7 +99,7 @@ def max_discrepancy(
         denom_w = index.ctx_count(k)[u]
     else:
         denom_w = n
-    l_max = _max_frequent_cached(index, gamma)
+    l_max = index.max_frequent_length(gamma)
     thr = float(n) ** (1.0 - gamma)
     data = index.data
     w_arr = w.as_array()

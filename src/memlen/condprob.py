@@ -54,8 +54,14 @@ class CondProbEstimate:
 def backward_recurrences(sample: Sample, center: int, k: int, count: int) -> RecurrenceTimes:
     """First ``count`` backward recurrence offsets of the length-k block
     ending at ``center``; the list is shorter when the data run out."""
-    _check_block(sample, center, k)
-    offs = _kernels.recurrences_before(sample.symbols, center, k, count)
+    _check_block(sample, center, k, count)
+    if k == 0:
+        # the empty block also "ends" at -1, one step before the sample
+        offs = np.arange(1, min(count, center + 1) + 1)
+    else:
+        block = sample.symbols[center - k + 1 : center + 1]
+        pos = _kernels.occurrence_positions(sample.symbols, block, k - 1, center - 1)
+        offs = center - pos[::-1][:count]
     return RecurrenceTimes(
         center=center,
         word_length=k,
@@ -65,8 +71,10 @@ def backward_recurrences(sample: Sample, center: int, k: int, count: int) -> Rec
 
 def forward_recurrences(sample: Sample, center: int, k: int, count: int) -> RecurrenceTimes:
     """First ``count`` forward recurrence offsets of the same block."""
-    _check_block(sample, center, k)
-    offs = _kernels.recurrences_after(sample.symbols, center, k, count)
+    _check_block(sample, center, k, count)
+    block = sample.symbols[center - k + 1 : center + 1]
+    pos = _kernels.occurrence_positions(sample.symbols, block, center + 1, sample.n)
+    offs = pos[:count] - center
     return RecurrenceTimes(
         center=center,
         word_length=k,
@@ -74,11 +82,13 @@ def forward_recurrences(sample: Sample, center: int, k: int, count: int) -> Recu
     )
 
 
-def _check_block(sample: Sample, center: int, k: int) -> None:
+def _check_block(sample: Sample, center: int, k: int, count: int) -> None:
     if sample.orientation != "forward":
         raise ValueError("recurrence times are defined over forward samples")
     if k < 0 or center - k + 1 < 0 or center > sample.n:
         raise OutOfRangeError(f"length-{k} block ending at {center} does not fit the sample")
+    if count < 0:
+        raise ValueError("recurrence count must be >= 0")
 
 
 def estimate_cond_prob(sample: Sample, memory_length: int, x: int) -> CondProbEstimate:

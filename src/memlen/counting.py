@@ -47,6 +47,10 @@ class CountIndex:
         self._l_count: dict[int, np.ndarray] = {}
         self._ctx_count: dict[int, np.ndarray] = {}
         self._csr: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._l_max: dict[float, int] = {}
+        # per-word test statistics keyed by (word length, gamma); filled by
+        # backward.discrepancy_by_length
+        self.discrepancy_memo: dict[tuple[int, float], np.ndarray] = {}
 
     # -- per-length tables -------------------------------------------------
 
@@ -138,14 +142,16 @@ class CountIndex:
     def max_frequent_length(self, gamma: float) -> int:
         """Largest length at which some string occurs more than n^(1-gamma)
         times; 0 if none does.  No longer string can pass the cutoff."""
-        thr = float(self.n) ** (1.0 - gamma)
-        length = 0
-        while length + 1 - 1 <= self.n:
-            cnt = self.l_count(length + 1)
-            if len(cnt) == 0 or cnt.max() <= thr:
-                break
-            length += 1
-        return length
+        if gamma not in self._l_max:
+            thr = float(self.n) ** (1.0 - gamma)
+            length = 0
+            while length <= self.n:
+                cnt = self.l_count(length + 1)
+                if len(cnt) == 0 or cnt.max() <= thr:
+                    break
+                length += 1
+            self._l_max[gamma] = length
+        return self._l_max[gamma]
 
 
 # ---------------------------------------------------------------------------

@@ -27,49 +27,6 @@ from .sequence import EstimatorParams, Sample, Word, shift_view
 
 
 # ---------------------------------------------------------------------------
-# Canonical word enumeration
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WordList:
-    """Enumeration of all words over a finite alphabet: the empty word first,
-    then by length and lexicographically within a length.  Every proper
-    suffix of a word is shorter, hence listed earlier."""
-
-    alphabet: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.alphabet) == 0 or tuple(sorted(set(self.alphabet))) != self.alphabet:
-            raise ValueError("alphabet must be nonempty, sorted and duplicate-free")
-
-    def word_at(self, index: int) -> Word:
-        if index < 0:
-            raise OutOfRangeError("negative word index")
-        a = len(self.alphabet)
-        length = 0
-        block = 1
-        while index >= block:
-            index -= block
-            length += 1
-            block *= a
-        letters = []
-        for _ in range(length):
-            letters.append(self.alphabet[index % a])
-            index //= a
-        return Word(tuple(reversed(letters)))
-
-    def index_of(self, w: Word) -> int:
-        a = len(self.alphabet)
-        pos = {s: i for i, s in enumerate(self.alphabet)}
-        idx = sum(a**m for m in range(len(w)))
-        rank = 0
-        for s in w:
-            rank = rank * a + pos[s]
-        return idx + rank
-
-
-# ---------------------------------------------------------------------------
 # Decisions
 # ---------------------------------------------------------------------------
 
@@ -375,7 +332,7 @@ class ReconstructionScheme:
                 if len(new):
                     covered[new] = True
                     n_covered += len(new)
-                coverage = n_covered / n if n else 1.0
+                coverage = n_covered / (n + 1)
                 if coverage >= target:
                     coverage_idx = i
             if coverage_idx is not None and selected_idx is not None:
@@ -407,7 +364,6 @@ def decide_r(
 
 
 __all__ = [
-    "WordList",
     "StoppingDecision",
     "forward_index",
     "memory_word_test_forward",

@@ -101,3 +101,29 @@ def chi(data, gamma, beta):
         if discrepancy(data, w, gamma) <= thr:
             return k
     return n
+
+
+def recurrences_before(data, end, k, count):
+    """Offsets t = 1, 2, ... (at most ``count``) at which the length-k block
+    ending at ``end`` recurs ending at end - t, scanned one step at a time;
+    the empty block recurs everywhere, down to the block ending at -1."""
+    out = []
+    t = 1
+    while len(out) < count and end - t - k + 1 >= 0:
+        if all(data[end - t - k + 1 + s] == data[end - k + 1 + s] for s in range(k)):
+            out.append(t)
+        t += 1
+    return out
+
+
+def recurrences_after(data, end, k, count):
+    """Offsets t = 1, 2, ... (at most ``count``) at which the block recurs
+    ending at end + t, within the data."""
+    out = []
+    t = 1
+    n = len(data) - 1
+    while len(out) < count and end + t <= n:
+        if all(data[end + t - k + 1 + s] == data[end - k + 1 + s] for s in range(k)):
+            out.append(t)
+        t += 1
+    return out

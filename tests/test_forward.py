@@ -6,7 +6,6 @@ from memlen import (
     OutOfRangeError,
     Sample,
     Word,
-    WordList,
     available_depth,
     decide_p,
     decide_r,
@@ -18,38 +17,6 @@ from memlen import (
 )
 from memlen.counting import CountIndex
 from memlen.forward import ReconstructionScheme, StoppingDecision
-
-
-class TestWordList:
-    def test_empty_word_first(self):
-        wl = WordList((0, 1))
-        assert wl.word_at(0) == Word(())
-
-    def test_enumeration_order(self):
-        wl = WordList((0, 1))
-        words = [wl.word_at(i) for i in range(7)]
-        assert [w.letters for w in words] == [
-            (),
-            (0,),
-            (1,),
-            (0, 0),
-            (0, 1),
-            (1, 0),
-            (1, 1),
-        ]
-
-    def test_index_roundtrip(self):
-        wl = WordList((0, 2, 5))
-        for i in range(200):
-            assert wl.index_of(wl.word_at(i)) == i
-
-    @pytest.mark.parametrize("alphabet", [(0, 1), (0, 1, 2), (0, 1, 2, 3)])
-    def test_no_word_precedes_its_suffix(self, alphabet):
-        wl = WordList(alphabet)
-        for i in range(10_000):
-            w = wl.word_at(i)
-            for s in range(len(w)):
-                assert wl.index_of(Word(w.letters[s:])) <= i
 
 
 class TestOccurrenceSet:
@@ -194,6 +161,16 @@ class TestDecideR:
         dec = decide_r(s, EstimatorParams())
         assert dec.in_stopping_set
         assert dec.memory_length == 0
+
+    def test_coverage_is_a_share_of_all_times(self):
+        # the occurrence sets cover times 0..n, n + 1 of them
+        dec = decide_r(Sample.forward([4] * 300), EstimatorParams())
+        assert dec.coverage == 1.0
+        rng = np.random.default_rng(5)
+        s = Sample.forward(rng.integers(0, 2, size=400))
+        scheme = ReconstructionScheme(s, EstimatorParams())
+        for n in (0, 1, 50, 399):
+            assert 0.0 < scheme.decide(n).coverage <= 1.0
 
     def test_custom_estimator_receives_backward_order(self):
         seen = []

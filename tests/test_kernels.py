@@ -1,97 +1,106 @@
-"""The JIT path and the numpy/Python fallback must agree exactly."""
+"""Kernels against direct scans, and the recurrence views built on them."""
 
 import numpy as np
 import pytest
 
 import memlen._kernels as K
-
-
-pytestmark = pytest.mark.skipif(
-    not K.NUMBA_ENABLED, reason="fallback already active; nothing to compare"
-)
+import naive
+from memlen import Sample
+from memlen.condprob import backward_recurrences, forward_recurrences
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_occurrence_positions_paths_agree(seed):
+def test_occurrence_positions_matches_scan(seed):
     rng = np.random.default_rng(seed)
-    data = rng.integers(0, 3, size=500).astype(np.int64)
-    for k in (1, 2, 4):
+    data = rng.integers(0, 3, size=300).astype(np.int64)
+    for k in (0, 1, 2, 4):
         word = rng.integers(0, 3, size=k).astype(np.int64)
-        lo, hi = int(rng.integers(0, 5)), int(rng.integers(400, 499))
-        a = K._occurrence_positions_jit(data, word, max(lo, k - 1), hi)
-        b = K._occurrence_positions_numpy(data, word, lo, hi)
-        assert np.array_equal(a, b)
+        for _ in range(10):
+            lo, hi = sorted(int(x) for x in rng.integers(-2, 305, size=2))
+            got = K.occurrence_positions(data, word, lo, hi)
+            assert list(got) == naive.scan_ends(data, word, max(lo, 0), hi)
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_extend_ids_paths_agree(seed):
+def test_extend_block_ids_rank_blocks_lexicographically(seed):
+    # theta and kappa index words in this order
     rng = np.random.default_rng(10 + seed)
     data = rng.integers(0, 3, size=300)
     _, sym_ids = np.unique(data, return_inverse=True)
     sym_ids = sym_ids.astype(np.int32)
-    prev = sym_ids
-    n_prev = int(sym_ids.max()) + 1
-    for length in (2, 3, 4):
-        a_ids, a_n = K._extend_ids_jit(sym_ids, prev, n_prev, length)
-        b_ids, b_n = K._extend_ids_numpy(sym_ids, prev, n_prev, length)
-        assert a_n == b_n
-        assert np.array_equal(a_ids, b_ids)
-        prev, n_prev = a_ids, a_n
-
-
-def test_discrepancy_paths_agree():
-    from memlen import Sample
-    from memlen.counting import CountIndex
-
-    rng = np.random.default_rng(3)
-    data = rng.integers(0, 2, size=400)
-    idx = CountIndex(Sample.backward(data))
-    n = idx.n
-    for wl in (0, 1, 2):
-        for m in (wl + 2, wl + 3):
-            args_common = dict(
-                ids_w=idx.ids(wl) if wl else idx._sym_ids,
-                ids_w1=idx.ids(wl + 1),
-                ids_m1=idx.ids(m - 1),
-                ids_m=idx.ids(m),
-                cnt_w1=idx.successor_count(wl + 1),
-                ctx_w=idx.ctx_count(wl) if wl else np.zeros(1, dtype=np.int64),
-                cnt_m=idx.l_count(m),
-                ctx_m1=idx.ctx_count(m - 1),
-                thresh=float(n) ** 0.5,
-                n=n,
-                wl=wl,
-                m=m,
-            )
-            n_out = idx.n_ids(wl) if wl else 1
-            out_a = np.zeros(n_out)
-            out_b = np.zeros(n_out)
-            hit_a = K._accumulate_discrepancy_jit(*args_common.values(), out_a)
-            hit_b = K._accumulate_discrepancy_numpy(*args_common.values(), out_b)
-            assert hit_a == hit_b
-            assert np.allclose(out_a, out_b, atol=0)
+    ids, n_ids = sym_ids, int(sym_ids.max()) + 1
+    for length in (2, 3, 4, 5):
+        ids, n_ids = K.extend_block_ids(sym_ids, ids, n_ids, length)
+        blocks = [tuple(data[j - length + 1 : j + 1]) for j in range(length - 1, len(data))]
+        rank = {b: r for r, b in enumerate(sorted(set(blocks)))}
+        assert n_ids == len(rank)
+        assert list(ids[: length - 1]) == [-1] * (length - 1)
+        assert list(ids[length - 1 :]) == [rank[b] for b in blocks]
 
 
 def test_sampler_streams_agree_with_python_loop():
-    # identical uniform consumption: jit and plain-python generation match
+    # one uniform per step: the sampler matches a loop over its step function
     rng_a = np.random.default_rng(7)
     rng_b = np.random.default_rng(7)
     a = K.sample_geometric_jump(rng_a, 200, 50, 0)
-    b = K._sample_geometric_jump.__wrapped__ if hasattr(K._sample_geometric_jump, "__wrapped__") else K._sample_geometric_jump
     out_b = np.empty(200, dtype=np.int64)
     s = 0
     for i in range(50):
-        s = K._step_geometric_jump(rng_b.random(), s)
+        s = K.step_geometric_jump(rng_b.random(), s)
     for i in range(200):
-        s = K._step_geometric_jump(rng_b.random(), s)
+        s = K.step_geometric_jump(rng_b.random(), s)
         out_b[i] = s
     assert np.array_equal(a, out_b)
 
 
-def test_recurrence_scans_basic():
+def test_first_recurrence_after_basic():
     data = np.array([0, 1, 0, 1, 0, 1], dtype=np.int64)
     assert K.first_recurrence_after(data, 0, 1, 1, 5) == 2
     assert K.first_recurrence_after(data, 0, 1, 3, 5) == 4
     assert K.first_recurrence_after(data, 0, 1, 5, 5) == 0
-    offs = K.recurrences_before(data, 5, 2, 10)
-    assert list(offs) == [2, 4]
+    assert K.first_recurrence_after(data, 3, 2, 1, 5) == 2
+    assert K.first_recurrence_after(data, 3, 2, 1, 4) == 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_first_recurrence_after_matches_forward_scan(seed):
+    rng = np.random.default_rng(20 + seed)
+    data = rng.integers(0, 2, size=200).astype(np.int64)
+    for _ in range(30):
+        length = int(rng.integers(1, 6))
+        end = int(rng.integers(length - 1, 150))
+        horizon = int(rng.integers(end, 200))
+        start_t = int(rng.integers(1, 20))
+        offs = naive.recurrences_after(data[: horizon + 1], end, length, 200)
+        want = next((t for t in offs if t >= start_t), 0)
+        assert K.first_recurrence_after(data, end, length, start_t, horizon) == want
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_recurrence_views_match_step_scans(seed):
+    rng = np.random.default_rng(30 + seed)
+    data = rng.integers(0, 2, size=120)
+    s = Sample.forward(data)
+    for k in (0, 1, 2, 3, 6):
+        for center in (k - 1, k, 60, 119):
+            if center < 0:
+                continue
+            for count in (0, 1, 3, 500):
+                back = backward_recurrences(s, center, k, count).backward_offsets
+                fwd = forward_recurrences(s, center, k, count).forward_offsets
+                assert list(back) == [0] + naive.recurrences_before(data, center, k, count)
+                assert list(fwd) == [0] + naive.recurrences_after(data, center, k, count)
+
+
+def test_empty_block_recurs_down_to_minus_one():
+    s = Sample.forward([0, 1, 1, 0])
+    assert backward_recurrences(s, 2, 0, 10).backward_offsets == (0, 1, 2, 3)
+    assert forward_recurrences(s, 2, 0, 10).forward_offsets == (0, 1)
+
+
+def test_negative_recurrence_count_rejected():
+    s = Sample.forward([0, 1, 1, 0])
+    with pytest.raises(ValueError):
+        backward_recurrences(s, 2, 1, -1)
+    with pytest.raises(ValueError):
+        forward_recurrences(s, 2, 1, -1)

@@ -16,6 +16,7 @@ from .condprob import (
     cond_prob_markov,
     estimate_cond_prob,
     estimate_markov_order,
+    estimate_successor_law,
     finite_alphabet_memory_estimate,
     forward_recurrences,
     iid_structure_test,

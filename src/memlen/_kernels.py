@@ -1,12 +1,12 @@
 """Hot numeric kernels, one body each.
 
 Counting over the sample (occurrence scans, dense block ids, the
-discrepancy accumulation) is vectorised numpy.  The loops that cannot be
-vectorised, the samplers and scheme R's recurrence scan, are written once in
-plain Python and compiled in nopython mode when numba is importable (the
-optional ``jit`` extra); without numba the same bodies run as Python.  The
-samplers draw the same uniforms in the same order either way, so a seed gives
-the same sample with or without numba.
+discrepancy accumulation) is vectorised numpy.  The only loops that cannot
+be vectorised, the samplers, are written once in plain Python and compiled
+in nopython mode when numba is importable (the optional ``jit`` extra);
+without numba the same bodies run as Python.  The samplers draw the same
+uniforms in the same order either way, so a seed gives the same sample with
+or without numba.
 """
 
 import numpy as np
@@ -34,10 +34,11 @@ def jit(fn):
 def occurrence_positions(data, word, lo, hi):
     """End positions j in [lo, hi] at which ``word`` occurs in ``data``.
 
-    The empty word occurs at every position in range.
+    The empty word occurs at every position in range.  Otherwise the ends of
+    the word's last letter are narrowed one older letter at a time, keeping
+    the ends whose symbol that many steps back matches.
     """
-    data = np.ascontiguousarray(data, dtype=np.int64)
-    word = np.ascontiguousarray(word, dtype=np.int64)
+    data = np.asarray(data)
     k = len(word)
     lo = max(lo, k - 1, 0)
     hi = min(hi, len(data) - 1)
@@ -45,8 +46,10 @@ def occurrence_positions(data, word, lo, hi):
         return np.empty(0, dtype=np.int64)
     if k == 0:
         return np.arange(lo, hi + 1, dtype=np.int64)
-    win = np.lib.stride_tricks.sliding_window_view(data[lo - k + 1 : hi + 1], k)
-    return np.flatnonzero(np.all(win == word, axis=1)) + lo
+    ends = np.flatnonzero(data[lo : hi + 1] == word[-1]) + lo
+    for back in range(1, k):
+        ends = ends[data[ends - back] == word[k - 1 - back]]
+    return ends
 
 
 # ---------------------------------------------------------------------------
@@ -106,26 +109,6 @@ def accumulate_discrepancy(
     p_zw = cnt_m[trip] / ctx_m1[ids_m1[j]]
     np.maximum.at(out, u, np.abs(p_w - p_zw))
     return True
-
-
-# ---------------------------------------------------------------------------
-# Recurrence scan
-# ---------------------------------------------------------------------------
-
-
-@jit
-def first_recurrence_after(data, end, length, start_t, n):
-    # smallest t >= start_t with data[end-length+1+t .. end+t] == block at end,
-    # end+t <= n; 0 if none within range.
-    for t in range(start_t, n - end + 1):
-        ok = True
-        for s in range(length):
-            if data[end - length + 1 + t + s] != data[end - length + 1 + s]:
-                ok = False
-                break
-        if ok:
-            return t
-    return 0
 
 
 # ---------------------------------------------------------------------------

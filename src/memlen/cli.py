@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .backward import backward_memory_estimate
-from .condprob import cond_prob_markov, estimate_cond_prob
+from .condprob import cond_prob_markov, estimate_successor_law
 from .counting import CountIndex
 from .errors import MemlenError
 from .forward import ReconstructionScheme, decide_p
@@ -173,9 +173,7 @@ def _condprob_rows(model, prefix: Sample, params, scheme: str, t0, oracle_ans):
         kappa = dec.word_index if dec.in_stopping_set else ""
         estimates = {}
         if dec.in_stopping_set:
-            mem_len = dec.memory_length
-            for x in _observed_successors(prefix, mem_len):
-                estimates[x] = estimate_cond_prob(prefix, mem_len, x)
+            estimates = estimate_successor_law(prefix, dec.memory_length)
     ms = int((time.perf_counter() - t0) * 1000)
     if not estimates:
         return [[n, in_set, "", "", "", "", theta, kappa, ms]]
@@ -194,18 +192,6 @@ def _condprob_rows(model, prefix: Sample, params, scheme: str, t0, oracle_ans):
 def _tail_word(prefix: Sample, width: int = 64) -> Word:
     data = prefix.symbols
     return Word(tuple(int(s) for s in data[-min(width, len(data)) :]))
-
-
-def _observed_successors(prefix: Sample, mem_len: int) -> list[int]:
-    from . import _kernels
-
-    if mem_len == 0:
-        return [int(x) for x in np.unique(prefix.symbols)]
-    w = prefix.symbols[len(prefix.symbols) - mem_len :]
-    pos = _kernels.occurrence_positions(prefix.symbols, w, mem_len - 1, prefix.n - 1)
-    if len(pos) == 0:
-        return []
-    return [int(x) for x in np.unique(prefix.symbols[pos + 1])]
 
 
 def _run_replica(task):

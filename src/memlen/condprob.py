@@ -91,6 +91,42 @@ def _check_block(sample: Sample, center: int, k: int, count: int) -> None:
         raise ValueError("recurrence count must be >= 0")
 
 
+def _successors(sample: Sample, k: int) -> np.ndarray:
+    """Symbols that follow the earlier occurrences of the current length-k
+    suffix, one per occurrence.  With k = 0 the context is empty and every
+    position counts, X_0 included."""
+    if sample.orientation != "forward":
+        raise ValueError("conditional-probability estimation reads a forward sample")
+    n = sample.n
+    data = sample.symbols
+    if k < 0 or k > n:
+        raise OutOfRangeError(f"memory length {k} outside sample")
+    if k == 0:
+        return data
+    pos = _kernels.occurrence_positions(data, suffix(sample, k).as_array(), k - 1, n - 1)
+    return data[pos + 1]
+
+
+def estimate_successor_law(
+    sample: Sample, memory_length: int, method: str = "FM"
+) -> dict[int, CondProbEstimate]:
+    """Estimates for every observed successor of the current suffix of the
+    given length, from one scan for the suffix; empty when the suffix never
+    occurs earlier."""
+    succ = _successors(sample, memory_length)
+    symbols, counts = np.unique(succ, return_counts=True)
+    return {
+        int(x): CondProbEstimate(
+            time=sample.n,
+            symbol=int(x),
+            qhat=int(c) / len(succ),
+            support_count=len(succ),
+            method=method,
+        )
+        for x, c in zip(symbols, counts)
+    }
+
+
 def estimate_cond_prob(sample: Sample, memory_length: int, x: int) -> CondProbEstimate:
     """Ratio of transition to context counts of the current suffix of the
     given length within the sample.
@@ -98,24 +134,13 @@ def estimate_cond_prob(sample: Sample, memory_length: int, x: int) -> CondProbEs
     With memory length 0 the context is empty and every position counts, so
     the estimate is the empirical frequency of ``x`` over the whole sample.
     """
-    if sample.orientation != "forward":
-        raise ValueError("conditional-probability estimation reads a forward sample")
-    k = memory_length
-    n = sample.n
-    data = sample.symbols
-    if k < 0 or k > n:
-        raise OutOfRangeError(f"memory length {k} outside sample")
-    if k == 0:
-        denom = n + 1
-        num = int(np.count_nonzero(data == x))
-    else:
-        w = suffix(sample, k).as_array()
-        pos = _kernels.occurrence_positions(data, w, k - 1, n - 1)
-        denom = len(pos)
-        if denom == 0:
-            raise UndefinedConditionalError("the current suffix never occurs earlier")
-        num = int(np.count_nonzero(data[pos + 1] == x))
-    return CondProbEstimate(time=n, symbol=x, qhat=num / denom, support_count=denom, method="FM")
+    succ = _successors(sample, memory_length)
+    if len(succ) == 0:
+        raise UndefinedConditionalError("the current suffix never occurs earlier")
+    num = int(np.count_nonzero(succ == x))
+    return CondProbEstimate(
+        time=sample.n, symbol=x, qhat=num / len(succ), support_count=len(succ), method="FM"
+    )
 
 
 def cond_prob_from_recurrences(sample: Sample, n: int, order: int, j: int, x: int) -> float:
@@ -184,33 +209,14 @@ def cond_prob_markov(
     if index is None:
         index = forward_index(sample)
     order = estimate_markov_order(sample, params, index=index)
-    if order > n:
-        return MarkovCondProb(time=n, in_stopping_set=False, order=order)
-    if order == 0:
-        count = n + 1
-    else:
-        w = suffix(sample, order).as_array()
-        count = len(_kernels.occurrence_positions(sample.symbols, w, order - 1, n))
-    if count < params.frequency_cutoff(n):
-        return MarkovCondProb(time=n, in_stopping_set=False, order=order)
-    if order == 0:
-        successors = np.unique(sample.symbols)
-    else:
-        pos = _kernels.occurrence_positions(sample.symbols, w, order - 1, n - 1)
-        if len(pos) == 0:
-            return MarkovCondProb(time=n, in_stopping_set=False, order=order)
-        successors = np.unique(sample.symbols[pos + 1])
-    estimates = {}
-    for x in successors:
-        est = estimate_cond_prob(sample, order, int(x))
-        estimates[int(x)] = CondProbEstimate(
-            time=est.time,
-            symbol=est.symbol,
-            qhat=est.qhat,
-            support_count=est.support_count,
-            method="MARKOV",
-        )
-    return MarkovCondProb(time=n, in_stopping_set=True, order=order, estimates=estimates)
+    estimates = estimate_successor_law(sample, order, method="MARKOV") if order <= n else {}
+    if estimates:
+        # the suffix occurs at its earlier ends and at n; the empty word everywhere
+        support = next(iter(estimates.values())).support_count
+        count = support if order == 0 else support + 1
+        if count >= params.frequency_cutoff(n):
+            return MarkovCondProb(time=n, in_stopping_set=True, order=order, estimates=estimates)
+    return MarkovCondProb(time=n, in_stopping_set=False, order=order)
 
 
 def finite_alphabet_memory_estimate(
@@ -290,6 +296,7 @@ __all__ = [
     "backward_recurrences",
     "forward_recurrences",
     "estimate_cond_prob",
+    "estimate_successor_law",
     "cond_prob_from_recurrences",
     "estimate_markov_order",
     "MarkovCondProb",

@@ -182,61 +182,46 @@ class Reconstruction:
         return np.asarray(self.symbols[: d + 1][::-1], dtype=np.int64)
 
 
-class _AnchorState:
-    """Incremental recurrence scanning for one anchor; scans resume where
-    they stopped when the horizon advances."""
+def _reconstruct(data: np.ndarray, anchor: int, horizon: int, max_depth: int) -> Reconstruction:
+    """Reconstruction at ``anchor`` from the recurrences completed by
+    ``horizon``, at most ``max_depth`` levels deep.
 
-    __slots__ = ("anchor", "rec", "pending_t")
+    ``ends`` holds the later end positions of the current level's block.
+    The length-(m+1) block ends where the length-m block first recurred, so
+    its later ends are those of the length-m block whose symbol m steps back
+    matches: each level narrows the previous level's ends by one filter.  A
+    recurrence found by ``horizon`` is the first one at any later horizon
+    too, so reconstructions at different horizons agree level by level.
+    """
+    x = data[anchor]
+    rec = Reconstruction(anchor=anchor, symbols=[int(x)])
+    ends = np.flatnonzero(data[anchor + 1 : horizon + 1] == x) + (anchor + 1)
+    for m in range(1, max_depth + 1):
+        if len(ends) == 0:
+            break
+        end = int(ends[0])
+        x = data[end - m]
+        rec.recurrence_times.append(end - anchor)
+        rec.symbols.append(int(x))
+        ends = ends[1:]
+        ends = ends[data[ends - m] == x]
+    return rec
 
-    def __init__(self, data: np.ndarray, anchor: int):
-        self.anchor = anchor
-        self.rec = Reconstruction(anchor=anchor, symbols=[int(data[anchor])])
-        self.pending_t = 1
 
-    def ensure(self, data: np.ndarray, horizon: int) -> None:
-        while True:
-            m = self.rec.depth + 1  # level being materialized
-            end = self.anchor + self.rec.recurrence_times[-1]
-            t = _kernels.first_recurrence_after(data, end, m, self.pending_t, horizon)
-            if t == 0:
-                self.pending_t = max(self.pending_t, horizon - end + 1)
-                return
-            z = self.rec.recurrence_times[-1] + t
-            self.rec.recurrence_times.append(z)
-            self.rec.symbols.append(int(data[self.anchor + z - m]))
-            self.pending_t = 1
-
-    def depth_at(self, n: int) -> int:
-        """max j >= -1 with anchor + recurrence_times[j] <= n (after ensure)."""
-        if self.anchor > n:
-            return -1
-        d = self.rec.depth
-        while d >= 0 and self.anchor + self.rec.recurrence_times[d] > n:
-            d -= 1
-        return d
+def _check_anchor(sample: Sample, anchor: int) -> None:
+    if sample.orientation != "forward":
+        raise ValueError("reconstruction reads a forward sample")
+    if not 0 <= anchor <= sample.n:
+        raise OutOfRangeError(f"anchor {anchor} outside sample")
 
 
 def reconstruct_past(sample: Sample, anchor: int, max_depth: int) -> Reconstruction:
     """Materialize the reconstruction at one anchor as far as the data allow,
     up to ``max_depth`` levels."""
-    if sample.orientation != "forward":
-        raise ValueError("reconstruction reads a forward sample")
-    if not 0 <= anchor <= sample.n:
-        raise OutOfRangeError(f"anchor {anchor} outside sample")
-    state = _AnchorState(sample.symbols, anchor)
-    while state.rec.depth < max_depth:
-        before = state.rec.depth
-        state.ensure(sample.symbols, sample.n)
-        if state.rec.depth == before:
-            break
-    rec = state.rec
-    if rec.depth > max_depth:
-        rec = Reconstruction(
-            anchor=anchor,
-            recurrence_times=rec.recurrence_times[: max_depth + 1],
-            symbols=rec.symbols[: max_depth + 1],
-        )
-    return rec
+    _check_anchor(sample, anchor)
+    if max_depth < 0:
+        raise ValueError("max_depth must be >= 0")
+    return _reconstruct(sample.symbols, anchor, sample.n, max_depth)
 
 
 def available_depth(sample: Sample, n: int, anchor: int) -> int:
@@ -244,9 +229,9 @@ def available_depth(sample: Sample, n: int, anchor: int) -> int:
     time n; -1 when the anchor lies beyond n."""
     if anchor > n:
         return -1
-    state = _AnchorState(sample.symbols, anchor)
-    state.ensure(sample.symbols, min(n, sample.n))
-    return state.depth_at(n)
+    _check_anchor(sample, anchor)
+    horizon = min(n, sample.n)
+    return _reconstruct(sample.symbols, anchor, horizon, horizon).depth
 
 
 def _default_backward_estimator(params: EstimatorParams) -> Callable[[np.ndarray], int]:
@@ -261,8 +246,9 @@ class ReconstructionScheme:
     """Scheme R driver over one growing forward sample.
 
     Any consistent backward estimator can be plugged in; the default is the
-    shortest-passing-suffix estimator.  Anchor reconstructions are cached and
-    extended incrementally as the decision time advances.
+    shortest-passing-suffix estimator.  Each decision rebuilds the
+    reconstruction of every anchor it visits from the data up to its own
+    time, so decisions may be taken in any order.
     """
 
     def __init__(
@@ -276,14 +262,6 @@ class ReconstructionScheme:
         self.sample = sample
         self.params = params
         self.estimator = backward_estimator or _default_backward_estimator(params)
-        self._anchors: dict[int, _AnchorState] = {}
-
-    def _anchor(self, i: int) -> _AnchorState:
-        state = self._anchors.get(i)
-        if state is None:
-            state = _AnchorState(self.sample.symbols, i)
-            self._anchors[i] = state
-        return state
 
     def decide(self, n: int | None = None, index: CountIndex | None = None) -> StoppingDecision:
         if n is None:
@@ -296,7 +274,7 @@ class ReconstructionScheme:
             index = forward_index(Sample.forward(data[: n + 1]))
         elif index.n != n:
             raise OutOfRangeError("supplied index does not cover exactly X_0..X_n")
-        n_anchors = min(n, params.anchor_cap) + 1
+        anchor_count = min(n, params.anchor_cap) + 1
         target = 1.0 - params.epsilon / 2.0
         covered = np.zeros(n + 1, dtype=bool)
         n_covered = 0
@@ -306,23 +284,18 @@ class ReconstructionScheme:
         selected_len: Optional[int] = None
         coverage = 0.0
 
-        for i in range(n_anchors):
-            state = self._anchor(i)
-            state.ensure(data, n)
-            depth = state.depth_at(n)
-            if depth < 0:
-                mem_len = 0
-            else:
-                mem_len = int(self.estimator(state.rec.backward_array(depth)))
-                if mem_len < 0 or mem_len > depth + 1:
-                    raise OutOfRangeError(
-                        f"backward estimator returned {mem_len} on a depth-{depth} reconstruction"
-                    )
+        for i in range(anchor_count):
+            rec = _reconstruct(data, i, n, n)
+            mem_len = int(self.estimator(rec.backward_array()))
+            if mem_len < 0 or mem_len > rec.depth + 1:
+                raise OutOfRangeError(
+                    f"backward estimator returned {mem_len} on a depth-{rec.depth} reconstruction"
+                )
             if mem_len == 0:
                 pos = np.arange(0, n + 1)
                 ends_at_n = True
             else:
-                end = i + state.rec.recurrence_times[mem_len - 1]
+                end = i + rec.recurrence_times[mem_len - 1]
                 u = index.ids(mem_len)[end]
                 pos = index.id_positions(mem_len, u)
                 pos = pos[pos >= mem_len]
@@ -341,7 +314,7 @@ class ReconstructionScheme:
                 selected_idx = i
                 selected_len = mem_len
         if coverage_idx is None:
-            coverage_idx = n_anchors - 1
+            coverage_idx = anchor_count - 1
         in_set = selected_idx is not None and selected_idx <= coverage_idx
         return StoppingDecision(
             time=n,

@@ -127,3 +127,18 @@ def recurrences_after(data, end, k, count):
             out.append(t)
         t += 1
     return out
+
+
+def reconstruct(data, anchor, horizon):
+    """Recurrence times and symbols of the reconstruction at ``anchor`` from
+    data[0 .. horizon]: level m is the first forward recurrence of the
+    length-m block ending where level m - 1 recurred."""
+    data = np.asarray(data)[: horizon + 1]
+    times, symbols = [0], [int(data[anchor])]
+    while True:
+        m = len(times)
+        offs = recurrences_after(data, anchor + times[-1], m, 1)
+        if not offs:
+            return times, symbols
+        times.append(times[-1] + offs[0])
+        symbols.append(int(data[anchor + times[-1] - m]))

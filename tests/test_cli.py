@@ -1,9 +1,12 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
-from memlen.cli import main
+from memlen.cli import SCHEMES, main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture()
@@ -120,6 +123,38 @@ class TestEstimate:
             return rows
 
         assert run("a") == run("b")
+
+
+@pytest.fixture(scope="module")
+def jump_bin(tmp_path_factory):
+    # the jump chain has no exact memory oracle, so it is estimated from a file
+    tmp = tmp_path_factory.mktemp("jump")
+    spec = tmp / "model.json"
+    spec.write_text(json.dumps({"type": "geometric_jump"}))
+    assert main(["simulate", "--model", str(spec), "--n", "20000", "--seed", "21",
+                 "--format", "bin", "--out", str(tmp)]) == 0
+    return tmp / "sample_000.bin"
+
+
+@pytest.mark.parametrize(
+    "source, scheme",
+    [("parity", s) for s in SCHEMES] + [("jump", "condprob-fm"), ("jump", "condprob-markov")],
+)
+def test_estimate_matches_golden(tmp_path, parity_spec, jump_bin, source, scheme):
+    """CLI rows, apart from the ms column, equal the recorded outputs."""
+    if source == "parity":
+        src = ["--model", str(parity_spec), "--seed", "21"]
+    else:
+        src = ["--input", str(jump_bin), "--format", "bin"]
+    out = tmp_path / "run"
+    assert main(["estimate", *src, "--scheme", scheme,
+                 "--checkpoints", "5000,12000,20000", "--out", str(out)]) == 0
+    with open(out / "estimate_000.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    ms = rows[0].index("ms")
+    got = [r[:ms] + r[ms + 1 :] for r in rows]
+    with open(GOLDEN / f"{source}_{scheme}.csv", newline="") as f:
+        assert got == list(csv.reader(f))
 
 
 class TestReport:

@@ -18,6 +18,8 @@ from memlen import (
 from memlen.counting import CountIndex
 from memlen.forward import ReconstructionScheme, StoppingDecision
 
+import naive
+
 
 class TestOccurrenceSet:
     def test_basic(self):
@@ -96,6 +98,62 @@ class TestReconstruction:
         arr = rec.backward_array()
         assert arr[-1] == s.symbols[0]  # most recent last
 
+    def test_negative_max_depth_rejected(self):
+        s = Sample.forward([0, 1, 0, 1, 1, 0, 1])
+        with pytest.raises(ValueError):
+            reconstruct_past(s, 0, -1)
+
+
+def _check_against_naive(data, anchor, horizon):
+    times, symbols = naive.reconstruct(data, anchor, horizon)
+    depth = len(times) - 1
+    s = Sample.forward(data)
+    assert available_depth(s, horizon, anchor) == depth
+    prefix = Sample.forward(data[: horizon + 1])
+    for max_depth in {0, depth // 2, depth, depth + 3}:
+        rec = reconstruct_past(prefix, anchor, max_depth)
+        assert rec.anchor == anchor
+        assert rec.recurrence_times == times[: max_depth + 1]
+        assert rec.symbols == symbols[: max_depth + 1]
+    # a recurrence found by the horizon is the first one at any later time
+    full = reconstruct_past(s, anchor, depth)
+    assert full.recurrence_times == times and full.symbols == symbols
+
+
+class TestReconstructionAgainstNaive:
+    @pytest.mark.parametrize("alphabet", [2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_samples(self, seed, alphabet):
+        rng = np.random.default_rng(40 + seed)
+        data = rng.integers(0, alphabet, size=250)
+        n = len(data) - 1
+        for anchor in (0, 1, int(rng.integers(2, n)), n - 1, n):
+            for horizon in {anchor, anchor + 1, int(rng.integers(anchor, n + 1)), n}:
+                if horizon <= n:
+                    _check_against_naive(data, anchor, horizon)
+
+    def test_horizon_before_first_recurrence(self):
+        data = np.array([0, 1, 1, 1, 0, 1, 0, 0])
+        # the anchor's symbol first recurs at time 4
+        for horizon in (0, 1, 2, 3, 4, 7):
+            _check_against_naive(data, 0, horizon)
+        assert available_depth(Sample.forward(data), 3, 0) == 0
+        assert available_depth(Sample.forward(data), 4, 0) == 1
+
+    def test_alternating(self):
+        data = np.array([0, 1, 0, 1, 0, 1])
+        for anchor in range(6):
+            for horizon in range(anchor, 6):
+                _check_against_naive(data, anchor, horizon)
+        assert reconstruct_past(Sample.forward(data), 0, 9).recurrence_times == [0, 2, 4]
+
+    def test_constant_sample(self):
+        data = np.full(30, 5)
+        for anchor in (0, 7, 29):
+            for horizon in {anchor, min(anchor + 1, 29), 29}:
+                _check_against_naive(data, anchor, horizon)
+                assert available_depth(Sample.forward(data), horizon, anchor) == horizon - anchor
+
 
 class TestAppearance:
     def test_frequent_blocks_are_eventually_reconstructed(self, parity_model):
@@ -128,6 +186,16 @@ class TestAvailableDepth:
     def test_anchor_beyond_n(self):
         s = Sample.forward([7] * 10)
         assert available_depth(s, 4, 5) == -1
+
+    def test_negative_anchor_rejected(self):
+        s = Sample.forward([0, 1, 0, 1, 1, 0, 1])
+        with pytest.raises(OutOfRangeError):
+            available_depth(s, 6, -1)
+
+    def test_anchor_beyond_sample_rejected(self):
+        s = Sample.forward([0, 1, 0, 1, 1, 0, 1])
+        with pytest.raises(OutOfRangeError):
+            available_depth(s, 9, 8)
 
 
 class TestDecideP:
@@ -187,26 +255,20 @@ class TestDecideR:
             assert set(np.unique(arr)).issubset({0, 1})
 
     def test_incremental_matches_fresh(self):
+        # nothing carries over between decisions: times in any order, going
+        # back and forward again, give each time's fresh decision
         rng = np.random.default_rng(11)
         s = Sample.forward(rng.integers(0, 2, size=500))
         p = EstimatorParams(anchor_cap=64)
-        scheme = ReconstructionScheme(s, p)
-        out_of_order = [scheme.decide(n) for n in (200, 350, 499)]
-        for dec in out_of_order:
-            fresh = ReconstructionScheme(
-                Sample.forward(s.symbols[: dec.time + 1]), p
-            ).decide()
-            assert (
-                dec.in_stopping_set,
-                dec.memory_length,
-                dec.word_index,
-                dec.coverage_index,
-            ) == (
-                fresh.in_stopping_set,
-                fresh.memory_length,
-                fresh.word_index,
-                fresh.coverage_index,
-            )
+
+        def shallow(arr):  # short words: several anchors to reach coverage
+            return min(len(arr), 3)
+
+        for estimator in (None, shallow):
+            scheme = ReconstructionScheme(s, p, estimator)
+            for n in (200, 350, 499, 200, 499):
+                prefix = Sample.forward(s.symbols[: n + 1])
+                assert scheme.decide(n) == ReconstructionScheme(prefix, p, estimator).decide()
 
     def test_time_beyond_sample_rejected(self):
         s = Sample.forward([0, 1] * 10)

@@ -53,29 +53,6 @@ def test_sampler_streams_agree_with_python_loop():
     assert np.array_equal(a, out_b)
 
 
-def test_first_recurrence_after_basic():
-    data = np.array([0, 1, 0, 1, 0, 1], dtype=np.int64)
-    assert K.first_recurrence_after(data, 0, 1, 1, 5) == 2
-    assert K.first_recurrence_after(data, 0, 1, 3, 5) == 4
-    assert K.first_recurrence_after(data, 0, 1, 5, 5) == 0
-    assert K.first_recurrence_after(data, 3, 2, 1, 5) == 2
-    assert K.first_recurrence_after(data, 3, 2, 1, 4) == 0
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_first_recurrence_after_matches_forward_scan(seed):
-    rng = np.random.default_rng(20 + seed)
-    data = rng.integers(0, 2, size=200).astype(np.int64)
-    for _ in range(30):
-        length = int(rng.integers(1, 6))
-        end = int(rng.integers(length - 1, 150))
-        horizon = int(rng.integers(end, 200))
-        start_t = int(rng.integers(1, 20))
-        offs = naive.recurrences_after(data[: horizon + 1], end, length, 200)
-        want = next((t for t in offs if t >= start_t), 0)
-        assert K.first_recurrence_after(data, end, length, start_t, horizon) == want
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_recurrence_views_match_step_scans(seed):
     rng = np.random.default_rng(30 + seed)

@@ -1,7 +1,7 @@
 """Hot numeric kernels, one body each.
 
 Counting over the sample (occurrence scans, dense block ids, the
-discrepancy accumulation) is vectorised numpy.  The only loops that cannot
+discrepancy gaps) is vectorised numpy.  The only loops that cannot
 be vectorised, the samplers, are written once in plain Python and compiled
 in nopython mode when numba is importable (the optional ``jit`` extra);
 without numba the same bodies run as Python.  The samplers draw the same
@@ -78,37 +78,26 @@ def extend_block_ids(sym_ids, prev_ids, n_prev, length):
 
 
 # ---------------------------------------------------------------------------
-# Discrepancy accumulation
+# Discrepancy gaps
 #
-# For fixed word length wl and extension-block length m (= wl + i + 1 for
-# extension depth i >= 1), accumulate into per-word maxima the gated values
-#     | c(word,succ)/ctx(word)  -  c(ext,succ)/ctx(ext) |
-# where the gate keeps only extension strings occurring more than ``thresh``
-# times.  All counts are supplied as dense-id lookup tables.
+# A frequent length-m block z+w+x (m = |w| + i + 1 for extension depth
+# i >= 1) contributes the gap
+#     | c(w,x)/ctx(w)  -  c(z+w,x)/ctx(z+w) |
+# to the statistic of w.  Every quantity in it is a function of the block,
+# so the gap is computed once per distinct frequent block, at its earliest
+# end, rather than once per sample position: at most n^gamma blocks per
+# length instead of n positions.  All counts are supplied as dense-id
+# lookup tables.
 # ---------------------------------------------------------------------------
 
 
-def accumulate_discrepancy(
-    ids_w, ids_w1, ids_m1, ids_m, cnt_w1, ctx_w, cnt_m, ctx_m1, thresh, n, wl, m, out
-):
-    """Fold one extension length into ``out``; False when no extension
-    string passes the gate (deeper lengths cannot pass either)."""
-    j = np.arange(m - 2, n)
-    trip = ids_m[j + 1]
-    gate = cnt_m[trip] > thresh
-    if not np.any(gate):
-        return False
-    j = j[gate]
-    trip = trip[gate]
-    if wl == 0:
-        p_w = cnt_w1[ids_w1[j + 1]] / n
-        u = np.zeros(len(j), dtype=np.int32)
-    else:
-        u = ids_w[j]
-        p_w = cnt_w1[ids_w1[j + 1]] / ctx_w[u]
-    p_zw = cnt_m[trip] / ctx_m1[ids_m1[j]]
-    np.maximum.at(out, u, np.abs(p_w - p_zw))
-    return True
+def extension_gaps(trip, ends, ctx_w, ids_w1, ids_m1, cnt_w1, cnt_m, ctx_m1):
+    """Gap of each frequent block with id ``trip`` ending at ``ends``;
+    ``ctx_w`` is the context count of each block's word part (or one count
+    shared by all)."""
+    p_w = cnt_w1[ids_w1[ends]] / ctx_w
+    p_zw = cnt_m[trip] / ctx_m1[ids_m1[ends - 1]]
+    return np.abs(p_w - p_zw)
 
 
 # ---------------------------------------------------------------------------

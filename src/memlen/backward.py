@@ -40,41 +40,31 @@ def discrepancy_by_length(index: CountIndex, word_length: int, gamma: float) -> 
     if key in index.discrepancy_memo:
         return index.discrepancy_memo[key]
 
-    n = index.n
-    if word_length >= 1:
-        n_out = index.n_ids(word_length)
-    else:
-        n_out = 1
-    out = np.zeros(n_out, dtype=np.float64)
+    out = np.zeros(index.n_ids(word_length) if word_length >= 1 else 1, dtype=np.float64)
     l_max = index.max_frequent_length(gamma)
-    if n_out and word_length + 2 <= l_max and word_length + 1 - 1 <= n:
-        thr = float(n) ** (1.0 - gamma)
-        dummy_ids = index._sym_ids
-        dummy_cnt = np.zeros(1, dtype=np.int64)
-        ids_w = index.ids(word_length) if word_length >= 1 else dummy_ids
-        ctx_w = index.ctx_count(word_length) if word_length >= 1 else dummy_cnt
+    # l_max <= n + 1, so every length below fits in the sample
+    if word_length + 2 <= l_max:
         ids_w1 = index.ids(word_length + 1)
         cnt_w1 = index.successor_count(word_length + 1)
         for m in range(word_length + 2, l_max + 1):
-            if m - 1 > n:
-                break
-            hit = _kernels.accumulate_discrepancy(
-                ids_w,
+            trip, ends = index.frequent_blocks(m, gamma)
+            if word_length >= 1:
+                u = index.ids(word_length)[ends - 1]
+                ctx_w = index.ctx_count(word_length)[u]
+            else:
+                u = np.zeros(len(ends), dtype=np.intp)
+                ctx_w = index.n
+            gaps = _kernels.extension_gaps(
+                trip,
+                ends,
+                ctx_w,
                 ids_w1,
                 index.ids(m - 1),
-                index.ids(m),
                 cnt_w1,
-                ctx_w,
                 index.l_count(m),
                 index.ctx_count(m - 1),
-                thr,
-                n,
-                word_length,
-                m,
-                out,
             )
-            if not hit:
-                break
+            np.maximum.at(out, u, gaps)
     index.discrepancy_memo[key] = out
     return out
 
@@ -84,9 +74,11 @@ def max_discrepancy(
 ) -> tuple[float, Optional[tuple[Word, int]]]:
     """Statistic for one word, with the extension achieving the maximum.
 
-    Scans the occurrence positions of w level by level (extension depth
-    i = 1, 2, ...) and stops as soon as a level has no frequent extension:
-    counts only shrink with depth, so deeper levels are empty too.
+    Reads the frequent blocks z+w+x level by level (extension depth
+    i = 1, 2, ...) and stops as soon as a level has none: a block occurs at
+    most as often as its suffix, so deeper levels are empty too.  The
+    witness is the earliest-ending block of the first level that reaches the
+    maximum.
     """
     k = len(w)
     n = index.n
@@ -99,37 +91,30 @@ def max_discrepancy(
         denom_w = index.ctx_count(k)[u]
     else:
         denom_w = n
-    l_max = index.max_frequent_length(gamma)
-    thr = float(n) ** (1.0 - gamma)
     data = index.data
-    w_arr = w.as_array()
-    for i in range(1, max(l_max - k, 0) + 1):
-        m = k + i + 1
-        if m - 1 > n:
+    for m in range(k + 2, index.max_frequent_length(gamma) + 1):
+        trip, ends = index.frequent_blocks(m, gamma)
+        if k >= 1:
+            keep = index.ids(k)[ends - 1] == u
+            trip, ends = trip[keep], ends[keep]
+        if not len(ends):
             break
-        pos = _kernels.occurrence_positions(data, w_arr, k + i - 1, n - 1)
-        ids_m = index.ids(m)
-        cnt_m = index.l_count(m)
-        ids_w1 = index.ids(k + 1)
-        cnt_w1 = index.successor_count(k + 1)
-        ctx_m1 = index.ctx_count(m - 1)
-        ids_m1 = index.ids(m - 1)
-        hit = False
-        for j in pos:
-            trip = ids_m[j + 1]
-            if cnt_m[trip] <= thr:
-                continue
-            hit = True
-            assert denom_w > 0, "frequent extension of a context that never occurs"
-            p_w = cnt_w1[ids_w1[j + 1]] / denom_w
-            p_zw = cnt_m[trip] / ctx_m1[ids_m1[j]]
-            d = abs(p_w - p_zw)
-            if d > best:
-                best = d
-                z = Word(tuple(int(s) for s in data[j - k - i + 1 : j - k + 1]))
-                witness = (z, int(data[j + 1]))
-        if not hit:
-            break
+        assert denom_w > 0, "frequent extension of a context that never occurs"
+        gaps = _kernels.extension_gaps(
+            trip,
+            ends,
+            denom_w,
+            index.ids(k + 1),
+            index.ids(m - 1),
+            index.successor_count(k + 1),
+            index.l_count(m),
+            index.ctx_count(m - 1),
+        )
+        top = int(np.argmax(gaps))
+        if gaps[top] > best:
+            best = gaps[top]
+            e = int(ends[top])
+            witness = (Word(tuple(int(s) for s in data[e - m + 1 : e - k])), int(data[e]))
     return best, witness
 
 
@@ -162,8 +147,6 @@ def backward_memory_estimate(index: CountIndex, params: EstimatorParams) -> int:
     n = index.n
     thr = params.test_threshold(n)
     for k in range(0, n):
-        if k >= 1 and k - 1 > n:
-            break
         disc_all = discrepancy_by_length(index, k, params.gamma)
         if k == 0:
             disc = disc_all[0]

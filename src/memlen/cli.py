@@ -22,7 +22,7 @@ import numpy as np
 from .backward import backward_memory_estimate
 from .condprob import cond_prob_markov, estimate_successor_law
 from .counting import CountIndex
-from .errors import MemlenError
+from .errors import InvalidModelError, MemlenError
 from .forward import ReconstructionScheme, decide_p
 from .oracles import oracle_cond, oracle_memory
 from .processes import RNG_ID, generate, load_model, model_to_spec
@@ -39,7 +39,6 @@ SCHEMA_VERSION = "memlen-run-v1"
 SCHEMES = ("backward", "forward-p", "forward-r", "condprob-fm", "condprob-markov")
 MEMORY_HEADER = ["n", "in_set", "estimate", "oracle", "match", "theta", "kappa", "ms"]
 CONDPROB_HEADER = ["n", "in_set", "symbol", "estimate", "oracle", "match", "theta", "kappa", "ms"]
-ORACLE_MODELS = {"markov", "hidden", "ladder"}
 
 
 def _fail(msg: str) -> None:
@@ -103,13 +102,21 @@ def cmd_simulate(args) -> int:
 
 def _oracle_memory_windowed(model, data: np.ndarray):
     """Memory length of the realized past, certified on a window; widened
-    until a certificate appears (or the whole past is used)."""
+    until a certificate appears (or the whole past is used).  None when the
+    model has no exact memory oracle or no window certifies."""
+    if model is None:
+        return None
     win = 64
     while True:
         past = Word(tuple(int(s) for s in data[-min(win, len(data)) :]))
-        ans = oracle_memory(model, past)
-        if ans.memory_length is not UNBOUNDED or win >= len(data):
-            return ans
+        try:
+            ans = oracle_memory(model, past)
+        except InvalidModelError:
+            return None
+        if ans.memory_length is not UNBOUNDED:
+            return ans.memory_length
+        if win >= len(data):
+            return None
         win *= 4
 
 
@@ -119,10 +126,13 @@ def _estimate_one_replica(model, sample: Sample, params, scheme: str, checkpoint
     for n in checkpoints:
         if n > sample.n:
             _fail(f"checkpoint {n} beyond sample length {sample.n}")
-        t0 = time.perf_counter()
         prefix = Sample.forward(sample.symbols[: n + 1])
-        oracle_ans = _oracle_memory_windowed(model, prefix.symbols) if model is not None else None
+        if scheme.startswith("condprob"):
+            rows.extend(_condprob_rows(model, prefix, params, scheme))
+            continue
 
+        oracle = _oracle_memory_windowed(model, prefix.symbols)
+        t0 = time.perf_counter()
         if scheme == "backward":
             index = CountIndex(Sample.backward(prefix.symbols))
             est = backward_memory_estimate(index, params)
@@ -133,28 +143,22 @@ def _estimate_one_replica(model, sample: Sample, params, scheme: str, checkpoint
             in_set = int(dec.in_stopping_set)
             theta, kappa = dec.coverage_index, dec.word_index if dec.in_stopping_set else ""
             estimate = dec.memory_length if dec.in_stopping_set else ""
-        elif scheme == "forward-r":
+        else:
             dec = recon.decide(n)
             in_set = int(dec.in_stopping_set)
             theta, kappa = dec.coverage_index, dec.word_index if dec.in_stopping_set else ""
             estimate = dec.memory_length if dec.in_stopping_set else ""
-        else:
-            rows.extend(
-                _condprob_rows(model, prefix, params, scheme, t0, oracle_ans)
-            )
-            continue
-
         ms = int((time.perf_counter() - t0) * 1000)
-        if oracle_ans is not None and oracle_ans.memory_length is not UNBOUNDED:
-            oracle = oracle_ans.memory_length
-            match = int(estimate == oracle) if estimate != "" else ""
-        else:
+
+        if oracle is None:
             oracle, match = "", ""
+        else:
+            match = int(estimate == oracle) if estimate != "" else ""
         rows.append([n, in_set, estimate, oracle, match, theta, kappa, ms])
     return rows
 
 
-def _condprob_rows(model, prefix: Sample, params, scheme: str, t0, oracle_ans):
+def _condprob_rows(model, prefix: Sample, params, scheme: str):
     n = prefix.n
     law = None
     if model is not None:
@@ -162,6 +166,7 @@ def _condprob_rows(model, prefix: Sample, params, scheme: str, t0, oracle_ans):
             law = {x: float(p) for x, p in oracle_cond(model, _tail_word(prefix)).items()}
         except MemlenError:
             law = None
+    t0 = time.perf_counter()
     if scheme == "condprob-markov":
         out = cond_prob_markov(prefix, params)
         in_set, theta, kappa = int(out.in_stopping_set), "", ""

@@ -29,8 +29,12 @@ class CountIndex:
 
     For each materialized block length L the index holds a dense id array
     (ids assigned in lexicographic order of block content, -1 where the block
-    does not fit) and the occurrence count of every id.  Built single-threaded,
-    immutable afterwards; reads are thread-safe.
+    does not fit) and the occurrence count of every id.  Per (length, gamma)
+    it also keeps the frequent-block table: the at most n^gamma ids occurring
+    more than n^(1-gamma) times, each with its earliest end.  The memory-word
+    test, the frequent extensions and the maximal frequent length all read
+    that table.  Built single-threaded, immutable afterwards; reads are
+    thread-safe.
     """
 
     def __init__(self, sample: Sample):
@@ -47,6 +51,7 @@ class CountIndex:
         self._l_count: dict[int, np.ndarray] = {}
         self._ctx_count: dict[int, np.ndarray] = {}
         self._csr: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._frequent: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
         self._l_max: dict[float, int] = {}
         # per-word test statistics keyed by (word length, gamma); filled by
         # backward.discrepancy_by_length
@@ -139,16 +144,35 @@ class CountIndex:
         j = int(self.id_positions(length, u)[0])
         return Word(tuple(int(s) for s in self.data[j - length + 1 : j + 1]))
 
+    def frequent_blocks(self, length: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+        """The length-``length`` blocks occurring more than n^(1-gamma) times
+        over end positions [length-1, n]: their ids and the earliest end of
+        each, both ordered by that end.  Kept per (length, gamma)."""
+        key = (length, gamma)
+        if key not in self._frequent:
+            cnt = self.l_count(length)
+            hot = cnt > float(self.n) ** (1.0 - gamma)
+            ids = np.flatnonzero(hot)
+            ends = np.empty(0, dtype=np.int64)
+            if len(ids):
+                valid = self.ids(length)[length - 1 :]
+                at = np.flatnonzero(hot[valid])
+                first = np.full(len(cnt), len(valid), dtype=np.int64)
+                # a minimum does not depend on the order the updates land in
+                np.minimum.at(first, valid[at], at)
+                ends = first[ids] + (length - 1)
+                order = np.argsort(ends)
+                ids, ends = ids[order], ends[order]
+            self._frequent[key] = (ids, ends)
+        return self._frequent[key]
+
     def max_frequent_length(self, gamma: float) -> int:
-        """Largest length at which some string occurs more than n^(1-gamma)
-        times; 0 if none does.  No longer string can pass the cutoff."""
+        """Largest length whose frequent-block table is nonempty; 0 if none
+        is.  A block occurs at most as often as its suffix, so no longer
+        table is nonempty either."""
         if gamma not in self._l_max:
-            thr = float(self.n) ** (1.0 - gamma)
             length = 0
-            while length <= self.n:
-                cnt = self.l_count(length + 1)
-                if len(cnt) == 0 or cnt.max() <= thr:
-                    break
+            while len(self.frequent_blocks(length + 1, gamma)[0]):
                 length += 1
             self._l_max[gamma] = length
         return self._l_max[gamma]
@@ -215,9 +239,8 @@ def frequent_extensions(
 ) -> set[tuple[Word, int]]:
     """All pairs (z, x) with |z| = i such that z + w + x is frequent.
 
-    Enumerated by scanning the occurrence positions of ``w`` and reading the
-    i preceding symbols and one following symbol, never by enumerating the
-    alphabet.
+    Read off the frequent blocks of length |w| + i + 1 whose middle part is
+    ``w``, never by enumerating the alphabet.
     """
     if i < 1:
         raise ValueError("extension depth must be >= 1")
@@ -225,20 +248,11 @@ def frequent_extensions(
     m = k + i + 1
     if m - 1 > index.n:
         return set()
-    thr = float(index.n) ** (1.0 - gamma)
+    _, ends = index.frequent_blocks(m, gamma)
+    if k and len(ends):
+        ends = ends[index.ids(k)[ends - 1] == index.word_id(w)]
     data = index.data
-    # w must sit with i symbols before it and one after: ends j with
-    # j - k - i + 1 >= 0 and j + 1 <= n
-    pos = _kernels.occurrence_positions(data, w.as_array(), k + i - 1, index.n - 1)
-    ids_m = index.ids(m)
-    cnt_m = index.l_count(m)
-    out: set[tuple[Word, int]] = set()
-    for j in pos:
-        trip = ids_m[j + 1]
-        if cnt_m[trip] > thr:
-            z = Word(tuple(int(s) for s in data[j - k - i + 1 : j - k + 1]))
-            out.add((z, int(data[j + 1])))
-    return out
+    return {(Word(tuple(int(s) for s in data[e - m + 1 : e - k])), int(data[e])) for e in ends}
 
 
 __all__ = [

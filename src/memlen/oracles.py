@@ -6,7 +6,8 @@ filtering; the ladder process with a finite zero set is reduced to an exact
 finite chain by lumping the states above the largest zero (they share the
 observation value and the jump/climb behaviour).  Ladder processes with an
 infinite zero set fall back to a structural rule anchored at the
-state-revealing block 0,0,1.
+state-revealing block 0,0,1.  The geometric jump chain has a conditional
+law (the row of its observed state) but no memory-length oracle.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Optional, Sequence
 
 from .errors import ImpossiblePastError, InvalidModelError
 from .processes import (
+    GeometricJumpChain,
     HiddenFunctionModel,
     LadderFunctionProcess,
     MarkovKernel,
@@ -302,7 +304,20 @@ def oracle_memory(model: ProcessModel, past: Word) -> OracleAnswer:
 
 
 def oracle_cond(model: ProcessModel, past: Word) -> dict[int, Fraction]:
-    """Exact conditional law of the next symbol given the finite past."""
+    """Exact conditional law of the next symbol given the finite past.
+
+    The geometric jump chain is observed directly, so its law is the row of
+    the current state; climbs of 40 or more states (total mass 2^-40) are
+    left out of that row.
+    """
+    if isinstance(model, GeometricJumpChain):
+        if not past.letters:
+            raise InvalidModelError("the jump chain's law needs its current state")
+        s = past.letters[-1]
+        law = {j: Fraction(1, 2 ** (j + 2)) for j in range(s)}
+        law[s] = Fraction(1, 2 ** (s + 1))
+        law.update({s + r: Fraction(1, 2 ** (r + 1)) for r in range(1, 40)})
+        return law
     if isinstance(model, LadderFunctionProcess) and model.modulus is not None:
         ans = _ladder_rule_memory(model, past)
         if ans.law is None:

@@ -142,3 +142,114 @@ def reconstruct(data, anchor, horizon):
             return times, symbols
         times.append(times[-1] + offs[0])
         symbols.append(int(data[anchor + times[-1] - m]))
+
+
+# ---------------------------------------------------------------------------
+# Per-position discrepancy sweeps.  These visit every sample position and
+# read the index's per-length id and count tables there, the way the package
+# did before it computed the statistic once per distinct frequent block; the
+# fast paths must reproduce them bit for bit, witnesses included.
+# ---------------------------------------------------------------------------
+
+
+def max_frequent_length(index, gamma):
+    """Largest length at which some block count exceeds n^(1-gamma)."""
+    thr = float(index.n) ** (1.0 - gamma)
+    length = 0
+    while length <= index.n:
+        cnt = index.l_count(length + 1)
+        if len(cnt) == 0 or cnt.max() <= thr:
+            break
+        length += 1
+    return length
+
+
+def _accumulate_discrepancy(
+    ids_w, ids_w1, ids_m1, ids_m, cnt_w1, ctx_w, cnt_m, ctx_m1, thresh, n, wl, m, out
+):
+    j = np.arange(m - 2, n)
+    trip = ids_m[j + 1]
+    gate = cnt_m[trip] > thresh
+    if not np.any(gate):
+        return False
+    j = j[gate]
+    trip = trip[gate]
+    if wl == 0:
+        p_w = cnt_w1[ids_w1[j + 1]] / n
+        u = np.zeros(len(j), dtype=np.int32)
+    else:
+        u = ids_w[j]
+        p_w = cnt_w1[ids_w1[j + 1]] / ctx_w[u]
+    p_zw = cnt_m[trip] / ctx_m1[ids_m1[j]]
+    np.maximum.at(out, u, np.abs(p_w - p_zw))
+    return True
+
+
+def discrepancy_by_length(index, word_length, gamma):
+    """Statistic of every word of one length, folded position by position."""
+    n = index.n
+    n_out = index.n_ids(word_length) if word_length >= 1 else 1
+    out = np.zeros(n_out, dtype=np.float64)
+    l_max = max_frequent_length(index, gamma)
+    if n_out and word_length + 2 <= l_max and word_length <= n:
+        thr = float(n) ** (1.0 - gamma)
+        ids_w = index.ids(word_length) if word_length >= 1 else None
+        ctx_w = index.ctx_count(word_length) if word_length >= 1 else None
+        ids_w1 = index.ids(word_length + 1)
+        cnt_w1 = index.successor_count(word_length + 1)
+        for m in range(word_length + 2, l_max + 1):
+            if m - 1 > n:
+                break
+            hit = _accumulate_discrepancy(
+                ids_w, ids_w1, index.ids(m - 1), index.ids(m), cnt_w1, ctx_w,
+                index.l_count(m), index.ctx_count(m - 1), thr, n, word_length, m, out,
+            )
+            if not hit:
+                break
+    return out
+
+
+def max_discrepancy(index, word, gamma):
+    """(statistic, witness) for one word: every occurrence of the word is
+    visited level by level, and the witness moves only on a strictly larger
+    gap."""
+    data = np.asarray(index.data)
+    k = len(word)
+    n = index.n
+    best = 0.0
+    witness = None
+    if k >= 1:
+        pos = scan_ends(data, word, k - 1, n)
+        if not pos:
+            return 0.0, None
+        denom_w = index.ctx_count(k)[index.ids(k)[pos[0]]]
+    else:
+        denom_w = n
+    l_max = max_frequent_length(index, gamma)
+    thr = float(n) ** (1.0 - gamma)
+    for i in range(1, max(l_max - k, 0) + 1):
+        m = k + i + 1
+        if m - 1 > n:
+            break
+        ids_m = index.ids(m)
+        cnt_m = index.l_count(m)
+        ids_w1 = index.ids(k + 1)
+        cnt_w1 = index.successor_count(k + 1)
+        ctx_m1 = index.ctx_count(m - 1)
+        ids_m1 = index.ids(m - 1)
+        hit = False
+        for j in scan_ends(data, word, k + i - 1, n - 1):
+            trip = ids_m[j + 1]
+            if cnt_m[trip] <= thr:
+                continue
+            hit = True
+            p_w = cnt_w1[ids_w1[j + 1]] / denom_w
+            p_zw = cnt_m[trip] / ctx_m1[ids_m1[j]]
+            d = abs(p_w - p_zw)
+            if d > best:
+                best = d
+                z = tuple(int(s) for s in data[j - k - i + 1 : j - k + 1])
+                witness = (z, int(data[j + 1]))
+        if not hit:
+            break
+    return best, witness

@@ -5,9 +5,11 @@ import naive
 from memlen import (
     CountIndex,
     EstimatorParams,
+    GeometricJumpChain,
     Sample,
     Word,
     backward_memory_estimate,
+    generate,
     max_discrepancy,
     memory_word_test,
 )
@@ -55,11 +57,58 @@ class TestDiscrepancy:
         rng = np.random.default_rng(100 + seed)
         syms = rng.integers(0, 3, size=200)
         idx = index_of(syms)
-        for length in (1, 2):
+        for length in range(0, idx.max_frequent_length(0.5) + 1):
             bulk = discrepancy_by_length(idx, length, 0.5)
-            for u in range(idx.n_ids(length)):
-                w = idx.decode(length, u)
-                assert bulk[u] == pytest.approx(max_discrepancy(idx, w, 0.5)[0])
+            for u in range(idx.n_ids(length) if length else 1):
+                w = idx.decode(length, u) if length else Word(())
+                assert bulk[u] == max_discrepancy(idx, w, 0.5)[0]
+
+
+def reference_samples():
+    rng = np.random.default_rng(7)
+    return {
+        "binary": rng.integers(0, 2, size=301),
+        "ternary": rng.integers(0, 3, size=301),
+        "constant": np.full(41, 4),
+        "alternating": np.array([(i + 1) % 2 for i in range(101)]),
+        "jump": generate(GeometricJumpChain(), 1500, 5).symbols,
+    }
+
+
+class TestAgainstPerPositionSweep:
+    """The statistic read once per distinct frequent block equals the sweep
+    over every sample position, bit for bit, witnesses included."""
+
+    @pytest.mark.parametrize("gamma", (0.3, 0.5, 0.7))
+    @pytest.mark.parametrize("name", sorted(reference_samples()))
+    def test_bulk_and_per_word(self, name, gamma):
+        syms = reference_samples()[name]
+        idx, ref = index_of(syms), index_of(syms)
+        l_max = idx.max_frequent_length(gamma)
+        assert l_max == naive.max_frequent_length(ref, gamma)
+        for length in range(0, l_max + 2):
+            bulk = discrepancy_by_length(idx, length, gamma)
+            want = naive.discrepancy_by_length(ref, length, gamma)
+            assert bulk.dtype == want.dtype and np.array_equal(bulk, want)
+            for u in range(idx.n_ids(length) if length else 1):
+                w = idx.decode(length, u) if length else Word(())
+                d, witness = max_discrepancy(idx, w, gamma)
+                if witness is not None:
+                    witness = (witness[0].letters, witness[1])
+                assert (d, witness) == naive.max_discrepancy(ref, list(w.letters), gamma)
+
+    def test_tied_blocks_keep_the_earliest(self):
+        # 1010...1: the blocks 01 and 10 (and 010, 101 one level deeper)
+        # give the empty word the same gap; the witness is the block that
+        # ends first (10, though 01 comes first in lexicographic order), at
+        # the first level reaching the maximum
+        syms = np.array([(i + 1) % 2 for i in range(101)])
+        idx = index_of(syms)
+        gap_01 = abs(naive.cond_prob(syms, [], 1) - naive.cond_prob(syms, [0], 1))
+        gap_10 = abs(naive.cond_prob(syms, [], 0) - naive.cond_prob(syms, [1], 0))
+        assert gap_01 == gap_10 > 0
+        assert max_discrepancy(idx, Word(()), 0.5) == (gap_10, (Word((1,)), 0))
+        assert naive.max_discrepancy(idx, [], 0.5) == (gap_10, ((1,), 0))
 
 
 class TestMemoryWordTest:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from memlen import GeometricJumpChain, generate
 from memlen.cli import SCHEMES, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -155,6 +156,37 @@ def test_estimate_matches_golden(tmp_path, parity_spec, jump_bin, source, scheme
     got = [r[:ms] + r[ms + 1 :] for r in rows]
     with open(GOLDEN / f"{source}_{scheme}.csv", newline="") as f:
         assert got == list(csv.reader(f))
+
+
+class TestModelWithoutMemoryOracle:
+    """The jump chain has a conditional-law oracle but no memory oracle."""
+
+    @pytest.fixture()
+    def jump_spec(self, tmp_path):
+        spec = tmp_path / "jump.json"
+        spec.write_text(json.dumps({"type": "geometric_jump"}))
+        return spec
+
+    def test_condprob_oracle_is_the_row_of_the_last_state(self, tmp_path, jump_spec):
+        out = tmp_path / "run"
+        assert main(["estimate", "--model", str(jump_spec), "--scheme", "condprob-markov",
+                     "--checkpoints", "3000,8000", "--seed", "3", "--out", str(out)]) == 0
+        data = generate(GeometricJumpChain(), 8000, 3).symbols
+        rows = [r for r in read_csv(out / "estimate_000.csv") if r["symbol"] != ""]
+        assert {r["n"] for r in rows} == {"3000", "8000"}
+        for r in rows:
+            law = GeometricJumpChain().row(int(data[int(r["n"])]))
+            assert float(r["oracle"]) == pytest.approx(law[int(r["symbol"])], abs=1e-6)
+            assert r["match"] in {"0", "1"}
+
+    @pytest.mark.parametrize("scheme", ["backward", "forward-p", "forward-r"])
+    def test_memory_schemes_leave_the_oracle_blank(self, tmp_path, jump_spec, scheme):
+        out = tmp_path / "run"
+        assert main(["estimate", "--model", str(jump_spec), "--scheme", scheme,
+                     "--checkpoints", "3000,8000", "--seed", "3", "--out", str(out)]) == 0
+        rows = read_csv(out / "estimate_000.csv")
+        assert [r["n"] for r in rows] == ["3000", "8000"]
+        assert all(r["oracle"] == "" and r["match"] == "" for r in rows)
 
 
 class TestReport:

@@ -136,14 +136,38 @@ class TestFrequentExtensions:
         for i in range(l_max, l_max + 3):
             assert frequent_extensions(idx, w, i, 0.5) == set()
 
-    @given(symbol_lists, st.integers(1, 3))
+    @given(symbol_lists, st.integers(0, 2))
     @settings(max_examples=40)
-    def test_matches_naive(self, syms, i):
+    def test_matches_naive(self, syms, k):
         idx = index_of(syms)
-        w = Word((syms[-1],))
-        got = {(z.letters, x) for z, x in frequent_extensions(idx, w, i, 0.5)}
-        want = naive.frequent_extensions(np.asarray(syms), list(w.letters), i, 0.5)
-        assert got == want
+        w = Word(tuple(syms[len(syms) - k :]))
+        for i in range(1, idx.max_frequent_length(0.5) + 2):
+            got = {(z.letters, x) for z, x in frequent_extensions(idx, w, i, 0.5)}
+            want = naive.frequent_extensions(np.asarray(syms), list(w.letters), i, 0.5)
+            assert got == want
+
+
+class TestFrequentBlocks:
+    @pytest.mark.parametrize("gamma", (0.3, 0.5, 0.7))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_scan(self, seed, gamma):
+        rng = np.random.default_rng(seed)
+        syms = rng.integers(0, 1 + seed % 3, size=rng.integers(2, 300))
+        idx = index_of(syms)
+        n = len(syms) - 1
+        for length in range(1, idx.max_frequent_length(gamma) + 2):
+            count, first = {}, {}
+            for j in range(length - 1, n + 1):
+                block = tuple(int(s) for s in syms[j - length + 1 : j + 1])
+                count[block] = count.get(block, 0) + 1
+                first.setdefault(block, j)
+            want = sorted(
+                (first[b], b) for b in count if count[b] > float(n) ** (1.0 - gamma)
+            )
+            ids, ends = idx.frequent_blocks(length, gamma)
+            got = [(int(e), idx.decode(length, int(u)).letters) for u, e in zip(ids, ends)]
+            assert got == want
+            assert (len(ids) > 0) == (length <= idx.max_frequent_length(gamma))
 
 
 class TestIndexAgainstNaive:

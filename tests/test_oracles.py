@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from memlen import (
+    GeometricJumpChain,
     ImpossiblePastError,
     InvalidModelError,
     LadderFunctionProcess,
@@ -144,6 +145,25 @@ class TestLadderOracle:
     def test_no_exact_chain_for_infinite(self):
         with pytest.raises(InvalidModelError):
             exact_chain(LadderFunctionProcess(modulus=4))
+
+
+class TestJumpOracle:
+    """The jump chain is observed directly: its law is the current row."""
+
+    @pytest.mark.parametrize("state", [0, 1, 5])
+    def test_law_is_the_row(self, state):
+        law = oracle_cond(GeometricJumpChain(), Word((2, state)))
+        assert law[state] == Fraction(1, 2 ** (state + 1))
+        assert sum(law.values()) == 1 - Fraction(1, 2**40)
+        row = GeometricJumpChain().row(state)
+        assert set(law) == set(row)
+        assert all(float(law[x]) == pytest.approx(row[x], rel=1e-11) for x in row)
+
+    def test_no_memory_oracle(self):
+        with pytest.raises(InvalidModelError):
+            oracle_memory(GeometricJumpChain(), Word((1,)))
+        with pytest.raises(InvalidModelError):
+            oracle_cond(GeometricJumpChain(), Word(()))
 
 
 class TestBruteForceAgreement:

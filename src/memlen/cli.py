@@ -135,19 +135,10 @@ def _estimate_one_replica(model, sample: Sample, params, scheme: str, checkpoint
         t0 = time.perf_counter()
         if scheme == "backward":
             index = CountIndex(Sample.backward(prefix.symbols))
-            est = backward_memory_estimate(index, params)
-            in_set, theta, kappa = 1, "", ""
-            estimate = est
-        elif scheme == "forward-p":
-            dec = decide_p(prefix, params)
-            in_set = int(dec.in_stopping_set)
-            theta, kappa = dec.coverage_index, dec.word_index if dec.in_stopping_set else ""
-            estimate = dec.memory_length if dec.in_stopping_set else ""
+            in_set, estimate, theta, kappa = 1, backward_memory_estimate(index, params), "", ""
         else:
-            dec = recon.decide(n)
-            in_set = int(dec.in_stopping_set)
-            theta, kappa = dec.coverage_index, dec.word_index if dec.in_stopping_set else ""
-            estimate = dec.memory_length if dec.in_stopping_set else ""
+            dec = decide_p(prefix, params) if scheme == "forward-p" else recon.decide(n)
+            in_set, estimate, theta, kappa = _decision_cells(dec)
         ms = int((time.perf_counter() - t0) * 1000)
 
         if oracle is None:
@@ -156,6 +147,13 @@ def _estimate_one_replica(model, sample: Sample, params, scheme: str, checkpoint
             match = int(estimate == oracle) if estimate != "" else ""
         rows.append([n, in_set, estimate, oracle, match, theta, kappa, ms])
     return rows
+
+
+def _decision_cells(dec):
+    """The in_set, estimate, theta and kappa cells of a forward decision."""
+    if dec.in_stopping_set:
+        return 1, dec.memory_length, dec.coverage_index, dec.word_index
+    return 0, "", dec.coverage_index, ""
 
 
 def _condprob_rows(model, prefix: Sample, params, scheme: str):
@@ -173,9 +171,7 @@ def _condprob_rows(model, prefix: Sample, params, scheme: str):
         estimates = out.estimates or {}
     else:  # condprob-fm rides on the scheme-P stopping set
         dec = decide_p(prefix, params)
-        in_set = int(dec.in_stopping_set)
-        theta = dec.coverage_index
-        kappa = dec.word_index if dec.in_stopping_set else ""
+        in_set, _, theta, kappa = _decision_cells(dec)
         estimates = {}
         if dec.in_stopping_set:
             estimates = estimate_successor_law(prefix, dec.memory_length)
@@ -318,7 +314,6 @@ def cmd_report(args) -> int:
                 }
             )
     out_path = Path(args.out) if args.out else None
-    summary_rows = per_replica
     rates = [float(r["match_rate"]) for r in per_replica if r["match_rate"] != ""]
     densities = [float(r["density"]) for r in per_replica]
     aggregate = {

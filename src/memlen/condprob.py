@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .backward import discrepancy_by_length
+from .backward import backward_memory_estimate, discrepancy_by_length
 from .counting import CountIndex
 from .errors import InsufficientRecurrencesError, OutOfRangeError, UndefinedConditionalError
 from .forward import forward_index
@@ -223,21 +223,15 @@ def finite_alphabet_memory_estimate(
     sample: Sample, params: EstimatorParams, index: CountIndex | None = None
 ) -> int:
     """Shortest suffix no longer than the estimated order that passes the
-    memory-word test; 0 when none does."""
-    n = sample.n
+    memory-word test.
+
+    That is the backward estimate, since the suffix as long as the estimated
+    order always passes: if it is frequent, by the definition of the order;
+    if not, it has no frequent extension and scores 0.
+    """
     if index is None:
         index = forward_index(sample)
-    order = estimate_markov_order(sample, params, index=index)
-    thr = params.test_threshold(n)
-    for t in range(0, min(order, n) + 1):
-        if t == 0:
-            disc = discrepancy_by_length(index, 0, params.gamma)[0]
-        else:
-            u = index.ids(t)[n]
-            disc = discrepancy_by_length(index, t, params.gamma)[u]
-        if disc <= thr:
-            return t
-    return 0
+    return backward_memory_estimate(index, params)
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,7 @@ class CountIndex:
     def ids(self, length: int) -> np.ndarray:
         if length < 1:
             raise ValueError("block ids are defined for length >= 1")
-        have = max(self._ids)
+        have = len(self._ids)  # lengths 1..have are built, in order
         while have < length:
             have += 1
             prev = self._ids[have - 1]

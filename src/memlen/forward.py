@@ -4,18 +4,21 @@ Two schemes, both committing to an estimate only at times n belonging to a
 stopping set of guaranteed lower density 1 - epsilon:
 
 * scheme P enumerates observed words (shortest first, then lexicographic, so
-  no word precedes its own suffix), tests each with the shift-conjugated
-  memory-word test, and accumulates their occurrence sets until the target
-  coverage 1 - epsilon/2 is reached;
+  no word precedes its own suffix) and tests each with the shift-conjugated
+  memory-word test;
 * scheme R rebuilds backward-distributed sample paths from forward data via
-  block recurrence times, runs a backward estimator on each reconstruction,
-  and covers time with the occurrence sets of the reconstructed memory words.
+  block recurrence times and runs a backward estimator on each
+  reconstruction.
+
+Both feed their candidate words (scheme P's passing words, scheme R's
+reconstructed memory words) in order to one stopping rule, which accumulates
+their occurrence sets until the target coverage 1 - epsilon/2 is reached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -80,6 +83,51 @@ def occurrence_set(sample: Sample, w: Word) -> np.ndarray:
     return _kernels.occurrence_positions(sample.symbols, w.as_array(), 0, sample.n)
 
 
+def _stopping_decision(
+    scheme: str,
+    n: int,
+    epsilon: float,
+    words: Iterable[tuple[int, int, np.ndarray, bool]],
+    last_index: int,
+) -> StoppingDecision:
+    """The stopping rule both forward schemes share.
+
+    ``words`` yields the scheme's candidate memory words in enumeration
+    order, each as (enumeration index, length, occurrence ends, whether it
+    ends at n).  Their occurrence sets are accumulated until they cover the
+    share 1 - epsilon/2 of the times 0..n, and the stream is not read past the
+    word that reaches it; ``last_index`` is the coverage index when no word
+    does.  Time n is in the stopping set when some word read ends at n, and
+    the first such word gives the estimate.
+    """
+    target = 1.0 - epsilon / 2.0
+    covered = np.zeros(n + 1, dtype=bool)
+    n_covered = 0
+    coverage = 0.0
+    coverage_idx = last_index
+    selected: Optional[tuple[int, int]] = None
+    for idx, length, pos, ends_at_n in words:
+        if selected is None and ends_at_n:
+            selected = (idx, length)
+        new = pos[~covered[pos]]
+        covered[new] = True
+        n_covered += len(new)
+        coverage = n_covered / (n + 1)
+        if coverage >= target:
+            coverage_idx = idx
+            break
+    in_set = selected is not None
+    return StoppingDecision(
+        time=n,
+        scheme=scheme,
+        in_stopping_set=in_set,
+        coverage_index=coverage_idx,
+        coverage=coverage,
+        memory_length=selected[1] if in_set else None,
+        word_index=selected[0] if in_set else None,
+    )
+
+
 def decide_p(
     sample: Sample, params: EstimatorParams, index: CountIndex | None = None
 ) -> StoppingDecision:
@@ -98,59 +146,23 @@ def decide_p(
     elif index.n != n:
         raise OutOfRangeError("supplied index does not cover exactly X_0..X_n")
     thr = params.test_threshold(n)
-    target = 1.0 - params.epsilon / 2.0
-    covered = np.zeros(n + 1, dtype=bool)
-    n_covered = 0
-
-    coverage_idx: Optional[int] = None
-    selected_idx: Optional[int] = None
-    selected_len: Optional[int] = None
-    coverage = 0.0
-
-    list_index = -1
     l_max = index.max_frequent_length(params.gamma)
-    for length in range(0, l_max + 1):
-        n_words = 1 if length == 0 else index.n_ids(length)
-        if length >= 1 and length - 1 > n:
-            break
-        disc = discrepancy_by_length(index, length, params.gamma)
-        ids = index.ids(length) if length >= 1 else None
-        for u in range(n_words):
-            list_index += 1
-            if disc[u] > thr:
-                continue
-            # occurrence set of this word
-            if length == 0:
-                pos = np.arange(0, n + 1)
-                ends_at_n = True
-            else:
-                pos = index.id_positions(length, u)
-                ends_at_n = ids[n] == u
-            if selected_idx is None and ends_at_n:
-                selected_idx = list_index
-                selected_len = length
-            new = pos[~covered[pos]]
-            if len(new):
-                covered[new] = True
-                n_covered += len(new)
-            coverage = n_covered / (n + 1)
-            if coverage >= target:
-                coverage_idx = list_index
-                break
-        if coverage_idx is not None:
-            break
-    if coverage_idx is None:
-        coverage_idx = list_index if list_index >= 0 else 0
-    in_set = selected_idx is not None and selected_idx <= coverage_idx
-    return StoppingDecision(
-        time=n,
-        scheme="forward-p",
-        in_stopping_set=in_set,
-        coverage_index=coverage_idx,
-        coverage=coverage,
-        memory_length=selected_len if in_set else None,
-        word_index=selected_idx if in_set else None,
-    )
+    sizes = [1] + [index.n_ids(length) for length in range(1, l_max + 1)]
+
+    def passing_words():
+        # shortest first, then by id (lexicographic), so no word precedes its suffix
+        offset = 0
+        for length, size in enumerate(sizes):
+            disc = discrepancy_by_length(index, length, params.gamma)
+            for u in np.flatnonzero(disc <= thr).tolist():
+                if length == 0:
+                    yield 0, 0, np.arange(n + 1), True
+                else:
+                    pos = index.id_positions(length, u)
+                    yield offset + u, length, pos, index.ids(length)[n] == u
+            offset += size
+
+    return _stopping_decision("forward-p", n, params.epsilon, passing_words(), sum(sizes) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -275,56 +287,25 @@ class ReconstructionScheme:
         elif index.n != n:
             raise OutOfRangeError("supplied index does not cover exactly X_0..X_n")
         anchor_count = min(n, params.anchor_cap) + 1
-        target = 1.0 - params.epsilon / 2.0
-        covered = np.zeros(n + 1, dtype=bool)
-        n_covered = 0
 
-        coverage_idx: Optional[int] = None
-        selected_idx: Optional[int] = None
-        selected_len: Optional[int] = None
-        coverage = 0.0
-
-        for i in range(anchor_count):
-            rec = _reconstruct(data, i, n, n)
-            mem_len = int(self.estimator(rec.backward_array()))
-            if mem_len < 0 or mem_len > rec.depth + 1:
-                raise OutOfRangeError(
-                    f"backward estimator returned {mem_len} on a depth-{rec.depth} reconstruction"
-                )
-            if mem_len == 0:
-                pos = np.arange(0, n + 1)
-                ends_at_n = True
-            else:
-                end = i + rec.recurrence_times[mem_len - 1]
-                u = index.ids(mem_len)[end]
+        def memory_words():
+            for i in range(anchor_count):
+                rec = _reconstruct(data, i, n, n)
+                mem_len = int(self.estimator(rec.backward_array()))
+                if mem_len < 0 or mem_len > rec.depth + 1:
+                    raise OutOfRangeError(
+                        f"backward estimator returned {mem_len} "
+                        f"on a depth-{rec.depth} reconstruction"
+                    )
+                if mem_len == 0:
+                    yield i, 0, np.arange(n + 1), True
+                    continue
+                ids = index.ids(mem_len)
+                u = ids[i + rec.recurrence_times[mem_len - 1]]
                 pos = index.id_positions(mem_len, u)
-                pos = pos[pos >= mem_len]
-                ends_at_n = index.ids(mem_len)[n] == u
-            if coverage_idx is None:
-                new = pos[~covered[pos]]
-                if len(new):
-                    covered[new] = True
-                    n_covered += len(new)
-                coverage = n_covered / (n + 1)
-                if coverage >= target:
-                    coverage_idx = i
-            if coverage_idx is not None and selected_idx is not None:
-                break
-            if ends_at_n and selected_idx is None:
-                selected_idx = i
-                selected_len = mem_len
-        if coverage_idx is None:
-            coverage_idx = anchor_count - 1
-        in_set = selected_idx is not None and selected_idx <= coverage_idx
-        return StoppingDecision(
-            time=n,
-            scheme="forward-r",
-            in_stopping_set=in_set,
-            coverage_index=coverage_idx,
-            coverage=coverage,
-            memory_length=selected_len if in_set else None,
-            word_index=selected_idx if in_set else None,
-        )
+                yield i, mem_len, pos[pos >= mem_len], ids[n] == u
+
+        return _stopping_decision("forward-r", n, params.epsilon, memory_words(), anchor_count - 1)
 
 
 def decide_r(

@@ -7,6 +7,9 @@ indexed fast paths.
 
 import numpy as np
 
+from memlen.forward import StoppingDecision, reconstruct_past
+from memlen.sequence import Sample
+
 
 def scan_ends(data, word, lo, hi):
     """End positions j in [lo, hi] where word == data[j-k+1 .. j]."""
@@ -253,3 +256,118 @@ def max_discrepancy(index, word, gamma):
         if not hit:
             break
     return best, witness
+
+
+# ---------------------------------------------------------------------------
+# Coverage loops of schemes P and R, each with its own bookkeeping, the way
+# the package ran them before both fed one stopping rule.  Scheme R here
+# goes on reconstructing anchors past the one that reaches coverage until a
+# word ending at n turns up; a word found there cannot put n in the set.
+# ---------------------------------------------------------------------------
+
+
+def decide_p(sample, params, index):
+    """Scheme P: passing words of lengths 0..l_max in enumeration order."""
+    n = sample.n
+    thr = params.test_threshold(n)
+    target = 1.0 - params.epsilon / 2.0
+    covered = np.zeros(n + 1, dtype=bool)
+    n_covered = 0
+    coverage_idx = selected_idx = selected_len = None
+    coverage = 0.0
+    list_index = -1
+    for length in range(0, max_frequent_length(index, params.gamma) + 1):
+        n_words = 1 if length == 0 else index.n_ids(length)
+        disc = discrepancy_by_length(index, length, params.gamma)
+        for u in range(n_words):
+            list_index += 1
+            if disc[u] > thr:
+                continue
+            if length == 0:
+                pos = np.arange(0, n + 1)
+                ends_at_n = True
+            else:
+                pos = index.id_positions(length, u)
+                ends_at_n = index.ids(length)[n] == u
+            if selected_idx is None and ends_at_n:
+                selected_idx, selected_len = list_index, length
+            new = pos[~covered[pos]]
+            covered[new] = True
+            n_covered += len(new)
+            coverage = n_covered / (n + 1)
+            if coverage >= target:
+                coverage_idx = list_index
+                break
+        if coverage_idx is not None:
+            break
+    if coverage_idx is None:
+        coverage_idx = list_index
+    in_set = selected_idx is not None and selected_idx <= coverage_idx
+    return StoppingDecision(
+        time=n,
+        scheme="forward-p",
+        in_stopping_set=in_set,
+        coverage_index=coverage_idx,
+        coverage=coverage,
+        memory_length=selected_len if in_set else None,
+        word_index=selected_idx if in_set else None,
+    )
+
+
+def decide_r(sample, params, estimator, n, index):
+    """Scheme R at time n: the memory word of each anchor's reconstruction."""
+    prefix = Sample.forward(sample.symbols[: n + 1])
+    anchor_count = min(n, params.anchor_cap) + 1
+    target = 1.0 - params.epsilon / 2.0
+    covered = np.zeros(n + 1, dtype=bool)
+    n_covered = 0
+    coverage_idx = selected_idx = selected_len = None
+    coverage = 0.0
+    for i in range(anchor_count):
+        rec = reconstruct_past(prefix, i, n)
+        mem_len = int(estimator(rec.backward_array()))
+        assert 0 <= mem_len <= rec.depth + 1
+        if mem_len == 0:
+            pos = np.arange(0, n + 1)
+            ends_at_n = True
+        else:
+            end = i + rec.recurrence_times[mem_len - 1]
+            u = index.ids(mem_len)[end]
+            pos = index.id_positions(mem_len, u)
+            pos = pos[pos >= mem_len]
+            ends_at_n = index.ids(mem_len)[n] == u
+        if coverage_idx is None:
+            new = pos[~covered[pos]]
+            covered[new] = True
+            n_covered += len(new)
+            coverage = n_covered / (n + 1)
+            if coverage >= target:
+                coverage_idx = i
+        if coverage_idx is not None and selected_idx is not None:
+            break
+        if ends_at_n and selected_idx is None:
+            selected_idx, selected_len = i, mem_len
+    if coverage_idx is None:
+        coverage_idx = anchor_count - 1
+    in_set = selected_idx is not None and selected_idx <= coverage_idx
+    return StoppingDecision(
+        time=n,
+        scheme="forward-r",
+        in_stopping_set=in_set,
+        coverage_index=coverage_idx,
+        coverage=coverage,
+        memory_length=selected_len if in_set else None,
+        word_index=selected_idx if in_set else None,
+    )
+
+
+def finite_alphabet_memory_estimate(index, params, order):
+    """Shortest suffix of length at most ``order`` passing the test, tried
+    one length at a time; 0 when none does."""
+    n = index.n
+    thr = params.test_threshold(n)
+    for t in range(0, min(order, n) + 1):
+        disc = discrepancy_by_length(index, t, params.gamma)
+        if disc[0 if t == 0 else index.ids(t)[n]] <= thr:
+            return t
+    return 0

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import naive
 from memlen import (
     EstimatorParams,
     InsufficientRecurrencesError,
@@ -15,8 +18,16 @@ from memlen import (
     finite_alphabet_memory_estimate,
     forward_recurrences,
     iid_structure_test,
+    parity_chain,
 )
+from memlen.forward import forward_index
 from memlen.processes import MarkovKernel, generate
+
+PARAM_GRID = [
+    EstimatorParams(gamma=0.5, beta=0.24),
+    EstimatorParams(gamma=0.3, beta=0.1),
+    EstimatorParams(gamma=0.7, beta=0.1),
+]
 
 
 class TestRecurrences:
@@ -187,6 +198,33 @@ class TestFiniteAlphabetEstimate:
         rows = {(0,): {0: 0.9, 1: 0.1}, (1,): {0: 0.4, 1: 0.6}}
         s = generate(MarkovKernel(order=1, rows=rows), 20_000, seed=7)
         assert finite_alphabet_memory_estimate(s, EstimatorParams()) == 1
+
+    @staticmethod
+    def _check_against_naive(data, params):
+        s = Sample.forward(data)
+        idx = forward_index(s)
+        order = estimate_markov_order(s, params, index=idx)
+        want = naive.finite_alphabet_memory_estimate(idx, params, order)
+        assert finite_alphabet_memory_estimate(s, params, index=idx) == want
+
+    @given(
+        st.lists(st.integers(0, 2), min_size=2, max_size=400),
+        st.sampled_from(PARAM_GRID),
+    )
+    @settings(max_examples=60)
+    def test_matches_suffix_loop(self, syms, params):
+        self._check_against_naive(np.asarray(syms), params)
+
+    @pytest.mark.parametrize("params", PARAM_GRID, ids=["g.5b.24", "g.3b.1", "g.7b.1"])
+    def test_matches_suffix_loop_at_scale(self, params, order2_kernel):
+        rng = np.random.default_rng(8)
+        parity = generate(parity_chain(), 20_000, seed=9).symbols
+        order2 = generate(order2_kernel, 20_000, seed=9).symbols
+        for n in (1, 2, 5, 30, 300, 3_000, 20_000):
+            self._check_against_naive(parity[: n + 1], params)
+            self._check_against_naive(order2[: n + 1], params)
+            self._check_against_naive(rng.integers(0, 2, size=n + 1), params)
+            self._check_against_naive(rng.integers(0, 3, size=n + 1), params)
 
 
 class TestIidStructure:

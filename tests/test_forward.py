@@ -16,9 +16,11 @@ from memlen import (
     shift_view,
 )
 from memlen.counting import CountIndex
-from memlen.forward import ReconstructionScheme, StoppingDecision
+from memlen.forward import ReconstructionScheme, StoppingDecision, forward_index
+from memlen.processes import generate, parity_chain
 
 import naive
+from test_acceptance import parity_structural_estimator
 
 
 class TestOccurrenceSet:
@@ -275,3 +277,93 @@ class TestDecideR:
         scheme = ReconstructionScheme(s, EstimatorParams())
         with pytest.raises(OutOfRangeError):
             scheme.decide(100)
+
+
+def _short_words(arr):  # short words: several anchors to reach coverage
+    return min(len(arr), 3)
+
+
+def _random(alphabet, n, seed):
+    return lambda: np.random.default_rng(seed).integers(0, alphabet, size=n + 1)
+
+
+def _parity(n):
+    return lambda: generate(parity_chain(), n, seed=21).symbols
+
+
+DECISION_CASES = {
+    **{
+        f"random{a}-n{n}": _random(a, n, 10 * a + i)
+        for a in (2, 3)
+        for i, n in enumerate((50, 300, 1000, 3000))
+    },
+    # out of the set with the short words
+    "random3-n1000-seed24": _random(3, 1000, 24),
+    "constant": lambda: np.zeros(300, dtype=np.int64),
+    "alternating": lambda: np.arange(301) % 2,
+    # n = 1379: out of the set for scheme P and the structural estimator
+    **{f"parity-n{n}": _parity(n) for n in (1_000, 1_379, 5_000, 20_000)},
+}
+
+
+class TestAgainstSeparateLoops:
+    """Both schemes through the shared stopping rule give, field for field,
+    the decisions of the separate coverage loops in ``naive``."""
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert got == want
+        assert type(got.coverage_index) is int
+        assert got.word_index is None or type(got.word_index) is int
+        assert got.memory_length is None or type(got.memory_length) is int
+
+    @pytest.mark.parametrize("case", sorted(DECISION_CASES))
+    def test_decisions(self, case):
+        s = Sample.forward(DECISION_CASES[case]())
+        p = EstimatorParams()
+        idx = forward_index(s)
+        self._assert_same(decide_p(s, p, index=idx), naive.decide_p(s, p, idx))
+        for estimator in (None, parity_structural_estimator, _short_words):
+            scheme = ReconstructionScheme(s, p, estimator)
+            want = naive.decide_r(s, p, scheme.estimator, s.n, idx)
+            self._assert_same(scheme.decide(index=idx), want)
+
+
+class TestEstimatorCalls:
+    """Scheme R reconstructs and estimates no anchor past the one whose
+    memory word reaches coverage: a word found later could not put the time
+    in the stopping set."""
+
+    @staticmethod
+    def _counted(scheme):
+        calls = []
+        estimator = scheme.estimator
+
+        def counted(arr):
+            calls.append(len(arr))
+            return estimator(arr)
+
+        scheme.estimator = counted
+        return calls
+
+    def test_constant_sample_one_call(self):
+        scheme = ReconstructionScheme(Sample.forward(np.zeros(300)), EstimatorParams())
+        calls = self._counted(scheme)
+        dec = scheme.decide()
+        assert dec.in_stopping_set and dec.coverage_index == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("estimator", [None, _short_words], ids=["default", "short"])
+    def test_calls_stop_at_coverage(self, estimator):
+        p = EstimatorParams()
+        target = 1.0 - p.epsilon / 2.0
+        # ternary seed 24 at n = 1000: out of the set with the short words,
+        # so no word ending at n turns up before coverage
+        for alphabet, seed in ((2, 3), (3, 4), (3, 24)):
+            data = np.random.default_rng(seed).integers(0, alphabet, size=1001)
+            for n in (300, 1000):
+                scheme = ReconstructionScheme(Sample.forward(data), p, estimator)
+                calls = self._counted(scheme)
+                dec = scheme.decide(n)
+                assert dec.coverage >= target
+                assert len(calls) == dec.coverage_index + 1

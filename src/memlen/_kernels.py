@@ -1,7 +1,8 @@
 """Hot numeric kernels, one body each.
 
 Counting over the sample (occurrence scans, dense block ids, the
-discrepancy gaps) is vectorised numpy.  The only loops that cannot
+discrepancy gaps) is vectorised numpy; block ids come from one stable radix
+pass per length.  The only loops that cannot
 be vectorised, the samplers, are written once in plain Python and compiled
 in nopython mode when numba is importable (the optional ``jit`` extra);
 without numba the same bodies run as Python.  The samplers draw the same
@@ -55,26 +56,54 @@ def occurrence_positions(data, word, lo, hi):
 # ---------------------------------------------------------------------------
 # Dense per-length block identifiers
 #
-# block_ids(L)[j] is a dense id of the length-L block ending at j, assigned in
+# ids(L)[j] is a dense id of the length-L block ending at j, assigned in
 # lexicographic order of block content (time-increasing symbols), -1 where the
-# block does not fit.  Built incrementally: the key of a length-L block is the
-# pair (rank of first symbol, id of trailing length-(L-1) block).
+# block does not fit.  A length-L block is one older symbol followed by a
+# length-(L-1) block, so once the ends are sorted by their length-(L-1) block,
+# one stable bucket pass over that older symbol sorts them by their length-L
+# block: the LSD radix refinement behind Manber & Myers (1993).  numpy runs a
+# stable argsort of a key of 16 bits or fewer as a radix sort, so below 32768
+# symbols no length needs a comparison sort.
 # ---------------------------------------------------------------------------
 
 
-def extend_block_ids(sym_ids, prev_ids, n_prev, length):
-    """Dense lex-ordered ids for length-``length`` blocks from length-1 ids
-    and the ids of the previous length."""
-    n = len(sym_ids)
-    out = np.full(n, -1, dtype=np.int32)
-    j0 = length - 1
-    if j0 >= n:
-        return out, 0
-    first = sym_ids[: n - j0].astype(np.int64)
-    trail = prev_ids[j0:].astype(np.int64)
-    uniq, inv = np.unique(first * (n_prev + 1) + trail, return_inverse=True)
-    out[j0:] = inv
-    return out, len(uniq)
+def narrow_int(count):
+    """Narrowest signed integer type that holds ``count`` and -1.  Holding
+    the id count, not only the largest id, keeps ``u + 1`` of any id in
+    range."""
+    if count <= 127:
+        return np.int8
+    return np.int16 if count <= 32767 else np.int32
+
+
+def extend_block_ids(sym_key, prev_order, prev_counts, length):
+    """Ids, sorted ends and counts of the length-``length`` blocks (length
+    >= 2), from the symbol key and the previous length's sorted ends and
+    counts.
+
+    ``prev_order`` holds the ends length-2..n ordered by length-(length-1)
+    id, ascending within each id, and ``prev_counts`` the size of each id's
+    run; the returned order and counts do the same for the ends
+    length-1..n at this length, both as int32.
+    """
+    keep = prev_order != length - 2
+    prev = prev_order[keep]
+    trail = np.arange(len(prev_counts), dtype=narrow_int(len(prev_counts)))
+    trail = np.repeat(trail, prev_counts)[keep]
+    key = sym_key[prev - (length - 1)]
+    by_key = np.argsort(key, kind="stable")
+    order = prev[by_key]
+    key = key[by_key]
+    trail = trail[by_key]
+    # an id's run starts where the symbol or the trailing id changes; the
+    # last flag closes the final run
+    new = np.ones(len(order) + 1, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:-1])
+    new[1:-1] |= trail[1:] != trail[:-1]
+    counts = np.diff(np.flatnonzero(new)).astype(np.int32)
+    ids = np.full(len(sym_key), -1, dtype=narrow_int(len(counts)))
+    ids[order] = np.cumsum(new[:-1], dtype=ids.dtype) - 1
+    return ids, order, counts
 
 
 # ---------------------------------------------------------------------------

@@ -54,9 +54,14 @@ def _workers() -> int:
 
 
 def _parse_checkpoints(text: str) -> list[int]:
-    pts = [int(p) for p in text.split(",") if p.strip()]
+    try:
+        pts = [int(p) for p in text.split(",") if p.strip()]
+    except ValueError:
+        _fail(f"checkpoints must be integers, got {text!r}")
     if not pts or any(b <= a for a, b in zip(pts, pts[1:])):
         _fail("checkpoints must be strictly increasing")
+    if pts[0] < 0:
+        _fail("checkpoints must be nonnegative")
     return pts
 
 

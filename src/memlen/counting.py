@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .errors import UndefinedConditionalError
+from .errors import MemlenError, UndefinedConditionalError
 from .sequence import EMPTY_WORD, Sample, Word
 
 
@@ -29,28 +29,41 @@ class CountIndex:
 
     For each materialized block length L the index holds a dense id array
     (ids assigned in lexicographic order of block content, -1 where the block
-    does not fit) and the occurrence count of every id.  Per (length, gamma)
-    it also keeps the frequent-block table: the at most n^gamma ids occurring
-    more than n^(1-gamma) times, each with its earliest end.  The memory-word
-    test, the frequent extensions and the maximal frequent length all read
-    that table.  Built single-threaded, immutable afterwards; reads are
+    does not fit, in the narrowest signed type that holds the id count), the
+    occurrence count of every id, and the ends sorted by id, ascending within
+    each id.  Length L is built from length L - 1 by one stable radix pass
+    over the blocks' oldest symbols, which gives its ids, counts and sorted
+    ends together; the sorted ends are the CSR positions, whose offsets are
+    formed when positions are first asked for.  Per (length, gamma) it also
+    keeps the frequent-block table: the at most n^gamma ids occurring more
+    than n^(1-gamma) times, each with its earliest end.  The memory-word test,
+    the frequent extensions and the maximal frequent length all read that
+    table.  Built single-threaded, immutable afterwards; reads are
     thread-safe.
     """
 
     def __init__(self, sample: Sample):
         if sample.orientation != "backward":
             raise ValueError("CountIndex is defined over a backward sample")
+        if sample.n + 1 > np.iinfo(np.int32).max:
+            raise MemlenError(
+                f"a sample of {sample.n + 1} symbols does not fit the count index's int32 ends"
+            )
         self.sample = sample
         self.data = sample.symbols
         self.n = sample.n
         values, sym_ids = np.unique(self.data, return_inverse=True)
         self.symbol_values = values.astype(np.int64)
-        self._sym_ids = sym_ids.astype(np.int32)
-        self._ids: dict[int, np.ndarray] = {1: self._sym_ids}
-        self._n_ids: dict[int, int] = {1: len(values)}
-        self._l_count: dict[int, np.ndarray] = {}
+        self._sym_key = sym_ids.astype(_kernels.narrow_int(len(values)))
+        self._ids: dict[int, np.ndarray] = {1: self._sym_key}
+        self._order: dict[int, np.ndarray] = {
+            1: np.argsort(self._sym_key, kind="stable").astype(np.int32)
+        }
+        self._l_count: dict[int, np.ndarray] = {
+            1: np.bincount(self._sym_key, minlength=len(values)).astype(np.int32)
+        }
         self._ctx_count: dict[int, np.ndarray] = {}
-        self._csr: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._offsets: dict[int, np.ndarray] = {}
         self._frequent: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
         self._l_max: dict[float, int] = {}
         # per-word test statistics keyed by (word length, gamma); filled by
@@ -64,30 +77,19 @@ class CountIndex:
             raise ValueError("block ids are defined for length >= 1")
         have = len(self._ids)  # lengths 1..have are built, in order
         while have < length:
-            have += 1
-            prev = self._ids[have - 1]
-            ids, n_ids = _kernels.extend_block_ids(
-                self._sym_ids, prev, self._n_ids[have - 1], have
+            ids, order, counts = _kernels.extend_block_ids(
+                self._sym_key, self._order[have], self._l_count[have], have + 1
             )
-            self._ids[have] = ids
-            self._n_ids[have] = n_ids
+            have += 1
+            self._ids[have], self._order[have], self._l_count[have] = ids, order, counts
         return self._ids[length]
 
     def n_ids(self, length: int) -> int:
-        self.ids(length)
-        return self._n_ids[length]
+        return len(self.l_count(length))
 
     def l_count(self, length: int) -> np.ndarray:
         """Occurrence count per id over end positions [length-1, n]."""
-        if length not in self._l_count:
-            ids = self.ids(length)
-            if length - 1 > self.n:
-                self._l_count[length] = np.zeros(0, dtype=np.int64)
-            else:
-                valid = ids[length - 1 :]
-                self._l_count[length] = np.bincount(
-                    valid, minlength=self._n_ids[length]
-                ).astype(np.int64)
+        self.ids(length)
         return self._l_count[length]
 
     def ctx_count(self, length: int) -> np.ndarray:
@@ -109,21 +111,18 @@ class CountIndex:
             return cnt
         cnt = cnt.copy()
         if len(cnt):
-            cnt[self._sym_ids[0]] -= 1
+            cnt[self._sym_key[0]] -= 1
         return cnt
 
     def positions_by_id(self, length: int) -> tuple[np.ndarray, np.ndarray]:
-        """CSR layout: (end positions sorted by id, offsets per id) over the
-        full end range [length-1, n]."""
-        if length not in self._csr:
-            ids = self.ids(length)
-            valid = ids[length - 1 :]
-            order = np.argsort(valid, kind="stable")
-            positions = order.astype(np.int64) + (length - 1)
-            offsets = np.zeros(self._n_ids[length] + 1, dtype=np.int64)
-            np.cumsum(np.bincount(valid, minlength=self._n_ids[length]), out=offsets[1:])
-            self._csr[length] = (positions, offsets)
-        return self._csr[length]
+        """CSR layout: (end positions sorted by id, ascending within each id,
+        offsets per id) over the full end range [length-1, n]."""
+        if length not in self._offsets:
+            counts = self.l_count(length)
+            offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+            np.cumsum(counts, out=offsets[1:])
+            self._offsets[length] = offsets
+        return self._order[length], self._offsets[length]
 
     def id_positions(self, length: int, u: int) -> np.ndarray:
         positions, offsets = self.positions_by_id(length)
@@ -151,18 +150,14 @@ class CountIndex:
         key = (length, gamma)
         if key not in self._frequent:
             cnt = self.l_count(length)
-            hot = cnt > float(self.n) ** (1.0 - gamma)
-            ids = np.flatnonzero(hot)
-            ends = np.empty(0, dtype=np.int64)
+            ids = np.flatnonzero(cnt > float(self.n) ** (1.0 - gamma))
+            ends = np.empty(0, dtype=np.int32)
             if len(ids):
-                valid = self.ids(length)[length - 1 :]
-                at = np.flatnonzero(hot[valid])
-                first = np.full(len(cnt), len(valid), dtype=np.int64)
-                # a minimum does not depend on the order the updates land in
-                np.minimum.at(first, valid[at], at)
-                ends = first[ids] + (length - 1)
-                order = np.argsort(ends)
-                ids, ends = ids[order], ends[order]
+                # each id's ends are sorted, so its first end is its earliest
+                starts = np.cumsum(cnt) - cnt
+                ends = self._order[length][starts[ids]]
+                by_end = np.argsort(ends)
+                ids, ends = ids[by_end], ends[by_end]
             self._frequent[key] = (ids, ends)
         return self._frequent[key]
 

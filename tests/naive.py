@@ -7,6 +7,7 @@ indexed fast paths.
 
 import numpy as np
 
+from memlen.counting import CountIndex
 from memlen.forward import StoppingDecision, reconstruct_past
 from memlen.sequence import Sample
 
@@ -371,3 +372,84 @@ def finite_alphabet_memory_estimate(index, params, order):
         if disc[0 if t == 0 else index.ids(t)[n]] <= thr:
             return t
     return 0
+
+
+# ---------------------------------------------------------------------------
+# Per-length tables by comparison sorts, the way the index built them before
+# its radix pass: ids from np.unique over (first symbol, trailing id) pairs,
+# counts by bincount, the CSR order from a stable argsort of the ids and
+# each frequent block's earliest end from np.minimum.at.
+# ---------------------------------------------------------------------------
+
+
+class SortedTableIndex(CountIndex):
+    """A CountIndex whose per-length tables come from sorting; everything
+    read off the tables (context counts, decoding, l_max) is CountIndex's."""
+
+    def __init__(self, sample):
+        super().__init__(sample)
+        self._sorted_ids = {1: np.unique(self.data, return_inverse=True)[1].astype(np.int32)}
+        self._sorted_n_ids = {1: len(self.symbol_values)}
+        self._sorted_count = {}
+        self._sorted_csr = {}
+        self._sorted_frequent = {}
+
+    def ids(self, length):
+        if length < 1:
+            raise ValueError("block ids are defined for length >= 1")
+        sym = self._sorted_ids[1]
+        n1 = len(sym)
+        for have in range(len(self._sorted_ids) + 1, length + 1):
+            out = np.full(n1, -1, dtype=np.int32)
+            n_ids = 0
+            j0 = have - 1
+            if j0 < n1:
+                first = sym[: n1 - j0].astype(np.int64)
+                trail = self._sorted_ids[have - 1][j0:].astype(np.int64)
+                uniq, inv = np.unique(
+                    first * (self._sorted_n_ids[have - 1] + 1) + trail, return_inverse=True
+                )
+                out[j0:] = inv
+                n_ids = len(uniq)
+            self._sorted_ids[have] = out
+            self._sorted_n_ids[have] = n_ids
+        return self._sorted_ids[length]
+
+    def n_ids(self, length):
+        self.ids(length)
+        return self._sorted_n_ids[length]
+
+    def l_count(self, length):
+        if length not in self._sorted_count:
+            valid = self.ids(length)[length - 1 :]
+            self._sorted_count[length] = np.bincount(
+                valid, minlength=self.n_ids(length)
+            ).astype(np.int64)
+        return self._sorted_count[length]
+
+    def positions_by_id(self, length):
+        if length not in self._sorted_csr:
+            valid = self.ids(length)[length - 1 :]
+            positions = np.argsort(valid, kind="stable").astype(np.int64) + (length - 1)
+            offsets = np.zeros(self.n_ids(length) + 1, dtype=np.int64)
+            np.cumsum(np.bincount(valid, minlength=self.n_ids(length)), out=offsets[1:])
+            self._sorted_csr[length] = (positions, offsets)
+        return self._sorted_csr[length]
+
+    def frequent_blocks(self, length, gamma):
+        key = (length, gamma)
+        if key not in self._sorted_frequent:
+            cnt = self.l_count(length)
+            hot = cnt > float(self.n) ** (1.0 - gamma)
+            ids = np.flatnonzero(hot)
+            ends = np.empty(0, dtype=np.int64)
+            if len(ids):
+                valid = self.ids(length)[length - 1 :]
+                at = np.flatnonzero(hot[valid])
+                first = np.full(len(cnt), len(valid), dtype=np.int64)
+                np.minimum.at(first, valid[at], at)
+                ends = first[ids] + (length - 1)
+                order = np.argsort(ends)
+                ids, ends = ids[order], ends[order]
+            self._sorted_frequent[key] = (ids, ends)
+        return self._sorted_frequent[key]

@@ -71,6 +71,18 @@ class TestEstimate:
                   "--out", str(tmp_path / "x")])
         assert e.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flag", [["--checkpoints", "1e3"], ["--checkpoints=-5,10"]], ids=["float", "negative"]
+    )
+    def test_bad_checkpoints_exit_2(self, tmp_path, parity_spec, flag):
+        # a float is not a time, and a negative one would slice from the end
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as e:
+            main(["estimate", "--model", str(parity_spec), "--scheme", "backward", *flag,
+                  "--n", "100", "--out", str(out)])
+        assert e.value.code == 2
+        assert not (out / "estimate_000.csv").exists()
+
     def test_forward_p_run(self, tmp_path, parity_spec):
         out = tmp_path / "run"
         rc = main(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,15 +8,23 @@ from hypothesis import strategies as st
 import naive
 from memlen import (
     CountIndex,
+    EstimatorParams,
+    GeometricJumpChain,
+    MemlenError,
     Sample,
     UndefinedConditionalError,
     Word,
+    backward_memory_estimate,
     count_context,
     count_transition,
+    decide_p,
     empirical_cond_prob,
     frequent_extensions,
+    generate,
     is_frequent,
+    shift_view,
 )
+from memlen.forward import ReconstructionScheme, forward_index
 
 symbol_lists = st.lists(st.integers(0, 3), min_size=2, max_size=60)
 
@@ -217,3 +227,88 @@ class TestMaxFrequentLength:
         idx = index_of([7] * 17)  # n = 16, cutoff 4
         # the block of length L occurs 18 - L times; need > 4, so L <= 13
         assert idx.max_frequent_length(0.5) == 13
+
+
+def wide_alphabet_sample(n_symbols):
+    """Every symbol of the alphabet once, then a binary tail long enough to
+    leave frequent blocks several lengths deep."""
+    rng = np.random.default_rng(n_symbols)
+    return np.concatenate([rng.permutation(n_symbols), rng.integers(0, 2, size=20000)])
+
+
+def table_samples():
+    rng = np.random.default_rng(11)
+    return {
+        "binary": rng.integers(0, 2, size=3001),
+        "ternary": rng.integers(0, 3, size=3001),
+        "constant": np.full(41, 4),
+        "alternating": np.array([(i + 1) % 2 for i in range(101)]),
+        "jump": generate(GeometricJumpChain(), 5000, 5).symbols,
+    }
+
+
+# the id dtype at length 1 sits on each side of the int8 and int16 limits
+WIDE_ALPHABETS = {127: np.int8, 128: np.int16, 32767: np.int16, 32768: np.int32, 40000: np.int32}
+
+
+class TestAgainstSortedTables:
+    """The radix pass gives the per-length tables the comparison sorts gave:
+    ids, counts, CSR positions and offsets, and frequent blocks, at every
+    length up to l_max + 1 (n + 3 on the short samples)."""
+
+    @staticmethod
+    def assert_same_tables(syms, gamma=0.5):
+        idx = index_of(syms)
+        ref = naive.SortedTableIndex(Sample.backward(syms))
+        l_max = idx.max_frequent_length(gamma)
+        assert l_max == ref.max_frequent_length(gamma)
+        n = len(syms) - 1
+        top = n + 3 if n < 200 else l_max + 1
+        for length in range(1, top + 1):
+            assert np.array_equal(idx.ids(length), ref.ids(length))
+            assert idx.n_ids(length) == ref.n_ids(length)
+            assert np.array_equal(idx.l_count(length), ref.l_count(length))
+            for got, want in zip(idx.positions_by_id(length), ref.positions_by_id(length)):
+                assert np.array_equal(got, want)
+            for got, want in zip(idx.frequent_blocks(length, gamma), ref.frequent_blocks(length, gamma)):
+                assert np.array_equal(got, want)
+            if length - 1 <= n:
+                # the largest id, read off the narrow array, as scheme R reads it
+                u = idx.ids(length)[np.argmax(idx.ids(length))]
+                assert np.array_equal(idx.id_positions(length, u), ref.id_positions(length, int(u)))
+        return idx
+
+    @pytest.mark.parametrize("name", sorted(table_samples()))
+    def test_samples(self, name):
+        self.assert_same_tables(table_samples()[name])
+
+    @pytest.mark.parametrize("n_symbols", sorted(WIDE_ALPHABETS))
+    def test_wide_alphabets(self, n_symbols):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a wrapping narrow scalar warns
+            idx = self.assert_same_tables(wide_alphabet_sample(n_symbols))
+        assert idx.ids(1).dtype == WIDE_ALPHABETS[n_symbols]
+
+    @pytest.mark.parametrize("n_symbols", sorted(WIDE_ALPHABETS))
+    def test_decisions_on_wide_alphabets(self, n_symbols):
+        syms = wide_alphabet_sample(n_symbols)
+        params = EstimatorParams()
+        forward = Sample.forward(syms)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert backward_memory_estimate(
+                index_of(syms), params
+            ) == backward_memory_estimate(naive.SortedTableIndex(Sample.backward(syms)), params)
+            ref = naive.SortedTableIndex(shift_view(forward, forward.n))
+            assert decide_p(forward, params, index=forward_index(forward)) == decide_p(
+                forward, params, index=ref
+            )
+            for estimator in (None, lambda past: 1):  # default, and one reading ids at length 1
+                scheme = ReconstructionScheme(forward, params, backward_estimator=estimator)
+                assert scheme.decide(index=forward_index(forward)) == scheme.decide(index=ref)
+
+    def test_sample_too_long_for_int32_ends(self):
+        # refused before any array is touched
+        huge = type("Huge", (), {"orientation": "backward", "n": np.iinfo(np.int32).max})()
+        with pytest.raises(MemlenError, match="int32"):
+            CountIndex(huge)

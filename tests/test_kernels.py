@@ -5,7 +5,7 @@ import pytest
 
 import memlen._kernels as K
 import naive
-from memlen import Sample
+from memlen import CountIndex, Sample
 from memlen.condprob import backward_recurrences, forward_recurrences
 
 
@@ -26,11 +26,9 @@ def test_extend_block_ids_rank_blocks_lexicographically(seed):
     # theta and kappa index words in this order
     rng = np.random.default_rng(10 + seed)
     data = rng.integers(0, 3, size=300)
-    _, sym_ids = np.unique(data, return_inverse=True)
-    sym_ids = sym_ids.astype(np.int32)
-    ids, n_ids = sym_ids, int(sym_ids.max()) + 1
+    index = CountIndex(Sample.backward(data))
     for length in (2, 3, 4, 5):
-        ids, n_ids = K.extend_block_ids(sym_ids, ids, n_ids, length)
+        ids, n_ids = index.ids(length), index.n_ids(length)
         blocks = [tuple(data[j - length + 1 : j + 1]) for j in range(length - 1, len(data))]
         rank = {b: r for r, b in enumerate(sorted(set(blocks)))}
         assert n_ids == len(rank)

@@ -63,7 +63,9 @@ def occurrence_positions(data, word, lo, hi):
 # one stable bucket pass over that older symbol sorts them by their length-L
 # block: the LSD radix refinement behind Manber & Myers (1993).  numpy runs a
 # stable argsort of a key of 16 bits or fewer as a radix sort, so below 32768
-# symbols no length needs a comparison sort.
+# symbols no length needs a comparison sort.  The pass reads only the
+# previous length's sorted ends and their ids, so no older length's sorted
+# ends need to be kept.
 # ---------------------------------------------------------------------------
 
 
@@ -76,34 +78,41 @@ def narrow_int(count):
     return np.int16 if count <= 32767 else np.int32
 
 
-def extend_block_ids(sym_key, prev_order, prev_counts, length):
-    """Ids, sorted ends and counts of the length-``length`` blocks (length
-    >= 2), from the symbol key and the previous length's sorted ends and
-    counts.
+def extend_block_ids(pad_key, prev_order, prev_trail, length):
+    """Tables of the length-``length`` blocks (length >= 1) from the sorted
+    ends of the length-(length-1) blocks.
 
-    ``prev_order`` holds the ends length-2..n ordered by length-(length-1)
-    id, ascending within each id, and ``prev_counts`` the size of each id's
-    run; the returned order and counts do the same for the ends
-    length-1..n at this length, both as int32.
+    ``pad_key`` is the symbol key behind one sentinel slot: ``pad_key[j + 1]``
+    is the key of the symbol at j and ``pad_key[0]`` is one above every
+    symbol key.  ``prev_order`` holds the ends length-2..n sorted by
+    length-(length-1) id, ascending within each id, and ``prev_trail`` the id
+    of each sorted end (length 0 has the one empty block, ending at -1..n).
+
+    Returns, for the ends length-1..n: the id of each end (-1 before
+    length-1), the ends sorted the same way and the id of each sorted end,
+    both to be passed to the next length, and the count and earliest end of
+    each id (int32).
     """
-    keep = prev_order != length - 2
-    prev = prev_order[keep]
-    trail = np.arange(len(prev_counts), dtype=narrow_int(len(prev_counts)))
-    trail = np.repeat(trail, prev_counts)[keep]
-    key = sym_key[prev - (length - 1)]
-    by_key = np.argsort(key, kind="stable")
-    order = prev[by_key]
+    # the block ending at e gains the symbol at e - (length - 1); the end
+    # length - 2, which is too short, reads the sentinel, sorts last and is
+    # cut off
+    key = pad_key[prev_order - (length - 2)]
+    by_key = np.argsort(key, kind="stable")[:-1]
+    order = prev_order[by_key]
     key = key[by_key]
-    trail = trail[by_key]
+    trail = prev_trail[by_key]
     # an id's run starts where the symbol or the trailing id changes; the
     # last flag closes the final run
     new = np.ones(len(order) + 1, dtype=bool)
     np.not_equal(key[1:], key[:-1], out=new[1:-1])
     new[1:-1] |= trail[1:] != trail[:-1]
-    counts = np.diff(np.flatnonzero(new)).astype(np.int32)
-    ids = np.full(len(sym_key), -1, dtype=narrow_int(len(counts)))
-    ids[order] = np.cumsum(new[:-1], dtype=ids.dtype) - 1
-    return ids, order, counts
+    starts = np.flatnonzero(new)
+    counts = np.diff(starts).astype(np.int32)
+    dtype = narrow_int(len(counts))
+    trail = np.repeat(np.arange(len(counts), dtype=dtype), counts)
+    ids = np.full(len(pad_key) - 1, -1, dtype=dtype)
+    ids[order] = trail
+    return ids, order, trail, counts, order[starts[:-1]]
 
 
 # ---------------------------------------------------------------------------

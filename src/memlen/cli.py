@@ -129,8 +129,6 @@ def _estimate_one_replica(model, sample: Sample, params, scheme: str, checkpoint
     rows = []
     recon = ReconstructionScheme(sample, params) if scheme == "forward-r" else None
     for n in checkpoints:
-        if n > sample.n:
-            _fail(f"checkpoint {n} beyond sample length {sample.n}")
         prefix = Sample.forward(sample.symbols[: n + 1])
         if scheme.startswith("condprob"):
             rows.extend(_condprob_rows(model, prefix, params, scheme))
@@ -209,6 +207,9 @@ def _run_replica(task):
         sample = generate(model, args_dict["n"], args_dict["seed"], stream=replica)
     else:
         sample = read_sample(args_dict["input"], fmt=args_dict["format"])
+        beyond = [n for n in args_dict["checkpoints"] if n > sample.n]
+        if beyond:
+            _fail(f"checkpoint {beyond[0]} beyond sample length {sample.n}")
     return _estimate_one_replica(
         model, sample, params, args_dict["scheme"], args_dict["checkpoints"]
     )

@@ -24,22 +24,31 @@ from .errors import MemlenError, UndefinedConditionalError
 from .sequence import EMPTY_WORD, Sample, Word
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class CountIndex:
     """Lazy per-length block statistics over one backward sample.
 
-    For each materialized block length L the index holds a dense id array
+    For each materialized block length L the index keeps a dense id array
     (ids assigned in lexicographic order of block content, -1 where the block
     does not fit, in the narrowest signed type that holds the id count), the
-    occurrence count of every id, and the ends sorted by id, ascending within
-    each id.  Length L is built from length L - 1 by one stable radix pass
-    over the blocks' oldest symbols, which gives its ids, counts and sorted
-    ends together; the sorted ends are the CSR positions, whose offsets are
-    formed when positions are first asked for.  Per (length, gamma) it also
-    keeps the frequent-block table: the at most n^gamma ids occurring more
-    than n^(1-gamma) times, each with its earliest end.  The memory-word test,
-    the frequent extensions and the maximal frequent length all read that
-    table.  Built single-threaded, immutable afterwards; reads are
-    thread-safe.
+    occurrence count of every id and the earliest end of every id.  Length L
+    is built from length L - 1 by one stable radix pass over the blocks'
+    oldest symbols, read through a symbol key padded with a sentinel slot
+    that the one end too short for length L reads, so that it sorts last and
+    is cut off.  The pass needs only the previous length's ends sorted by
+    id, and the id of each, so the index carries those for the newest length
+    alone.  CSR positions (ends sorted by id, ascending within each id) are
+    formed for a length when first asked for: the carried ends for the
+    newest length, a stable argsort of the ids for any other.  Per (length,
+    gamma) it also keeps the frequent-block table: the at most n^gamma ids
+    occurring more than n^(1-gamma) times, each with its earliest end.  The
+    memory-word test, the frequent extensions and the maximal frequent length
+    all read that table.  Every table it returns is read-only.  Built
+    single-threaded, immutable afterwards; reads are thread-safe.
     """
 
     def __init__(self, sample: Sample):
@@ -52,18 +61,28 @@ class CountIndex:
         self.sample = sample
         self.data = sample.symbols
         self.n = sample.n
-        values, sym_ids = np.unique(self.data, return_inverse=True)
+        if self.data.max() <= self.n:
+            # rank the symbols by presence, without sorting them
+            present = np.bincount(self.data) > 0
+            values = np.flatnonzero(present)
+            key = (np.cumsum(present, dtype=_kernels.narrow_int(len(values))) - 1)[self.data]
+        else:
+            values, key = np.unique(self.data, return_inverse=True)
         self.symbol_values = values.astype(np.int64)
-        self._sym_key = sym_ids.astype(_kernels.narrow_int(len(values)))
-        self._ids: dict[int, np.ndarray] = {1: self._sym_key}
-        self._order: dict[int, np.ndarray] = {
-            1: np.argsort(self._sym_key, kind="stable").astype(np.int32)
-        }
-        self._l_count: dict[int, np.ndarray] = {
-            1: np.bincount(self._sym_key, minlength=len(values)).astype(np.int32)
-        }
+        self._pad_key = np.empty(self.n + 2, dtype=_kernels.narrow_int(len(values)))
+        self._pad_key[0] = len(values)
+        self._pad_key[1:] = key
+        self._ids: dict[int, np.ndarray] = {}
+        self._l_count: dict[int, np.ndarray] = {}
+        self._first: dict[int, np.ndarray] = {}
+        # sorted ends of the newest length, and the id of each; length 0 has
+        # the one empty block, ending at -1..n
+        self._carry = (
+            np.arange(-1, self.n + 1, dtype=np.int32),
+            np.zeros(self.n + 2, dtype=np.int8),
+        )
         self._ctx_count: dict[int, np.ndarray] = {}
-        self._offsets: dict[int, np.ndarray] = {}
+        self._csr: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._frequent: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
         self._l_max: dict[float, int] = {}
         # per-word test statistics keyed by (word length, gamma); filled by
@@ -77,11 +96,13 @@ class CountIndex:
             raise ValueError("block ids are defined for length >= 1")
         have = len(self._ids)  # lengths 1..have are built, in order
         while have < length:
-            ids, order, counts = _kernels.extend_block_ids(
-                self._sym_key, self._order[have], self._l_count[have], have + 1
-            )
             have += 1
-            self._ids[have], self._order[have], self._l_count[have] = ids, order, counts
+            ids, order, trail, counts, first = _kernels.extend_block_ids(
+                self._pad_key, *self._carry, have
+            )
+            self._ids[have], self._l_count[have] = _read_only(ids), _read_only(counts)
+            self._first[have] = first
+            self._carry = (_read_only(order), trail)
         return self._ids[length]
 
     def n_ids(self, length: int) -> int:
@@ -99,7 +120,7 @@ class CountIndex:
             ids = self.ids(length)
             if self.n >= length - 1 and len(cnt):
                 cnt[ids[self.n]] -= 1
-            self._ctx_count[length] = cnt
+            self._ctx_count[length] = _read_only(cnt)
         return self._ctx_count[length]
 
     def successor_count(self, length: int) -> np.ndarray:
@@ -111,18 +132,24 @@ class CountIndex:
             return cnt
         cnt = cnt.copy()
         if len(cnt):
-            cnt[self._sym_key[0]] -= 1
+            cnt[self.ids(1)[0]] -= 1
         return cnt
 
     def positions_by_id(self, length: int) -> tuple[np.ndarray, np.ndarray]:
         """CSR layout: (end positions sorted by id, ascending within each id,
         offsets per id) over the full end range [length-1, n]."""
-        if length not in self._offsets:
+        if length not in self._csr:
             counts = self.l_count(length)
+            if length == len(self._ids):
+                positions = self._carry[0]
+            else:
+                valid = self._ids[length][length - 1 :]
+                positions = np.argsort(valid, kind="stable").astype(np.int32)
+                positions += length - 1
             offsets = np.zeros(len(counts) + 1, dtype=np.int64)
             np.cumsum(counts, out=offsets[1:])
-            self._offsets[length] = offsets
-        return self._order[length], self._offsets[length]
+            self._csr[length] = (_read_only(positions), _read_only(offsets))
+        return self._csr[length]
 
     def id_positions(self, length: int, u: int) -> np.ndarray:
         positions, offsets = self.positions_by_id(length)
@@ -140,7 +167,8 @@ class CountIndex:
 
     def decode(self, length: int, u: int) -> Word:
         """The word carried by dense id ``u`` at the given length."""
-        j = int(self.id_positions(length, u)[0])
+        self.ids(length)
+        j = int(self._first[length][u])
         return Word(tuple(int(s) for s in self.data[j - length + 1 : j + 1]))
 
     def frequent_blocks(self, length: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -151,14 +179,9 @@ class CountIndex:
         if key not in self._frequent:
             cnt = self.l_count(length)
             ids = np.flatnonzero(cnt > float(self.n) ** (1.0 - gamma))
-            ends = np.empty(0, dtype=np.int32)
-            if len(ids):
-                # each id's ends are sorted, so its first end is its earliest
-                starts = np.cumsum(cnt) - cnt
-                ends = self._order[length][starts[ids]]
-                by_end = np.argsort(ends)
-                ids, ends = ids[by_end], ends[by_end]
-            self._frequent[key] = (ids, ends)
+            ends = self._first[length][ids]
+            by_end = np.argsort(ends)
+            self._frequent[key] = (_read_only(ids[by_end]), _read_only(ends[by_end]))
         return self._frequent[key]
 
     def max_frequent_length(self, gamma: float) -> int:

@@ -83,6 +83,21 @@ class TestEstimate:
         assert e.value.code == 2
         assert not (out / "estimate_000.csv").exists()
 
+    def test_checkpoint_past_input_exits_2_before_estimating(self, tmp_path, monkeypatch, capsys):
+        sample = tmp_path / "sample.txt"
+        sample.write_text("".join(f"{i % 2}\n" for i in range(1000)))
+        monkeypatch.setattr(
+            "memlen.cli.backward_memory_estimate",
+            lambda *_: pytest.fail("a row was estimated before the checkpoints were checked"),
+        )
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as e:
+            main(["estimate", "--input", str(sample), "--scheme", "backward",
+                  "--checkpoints", "500,5000", "--out", str(out)])
+        assert e.value.code == 2
+        assert "checkpoint 5000" in capsys.readouterr().err
+        assert not list(out.glob("estimate_*.csv"))
+
     def test_forward_p_run(self, tmp_path, parity_spec):
         out = tmp_path / "run"
         rc = main(

@@ -312,3 +312,71 @@ class TestAgainstSortedTables:
         huge = type("Huge", (), {"orientation": "backward", "n": np.iinfo(np.int32).max})()
         with pytest.raises(MemlenError, match="int32"):
             CountIndex(huge)
+
+
+class TestCallOrder:
+    """Only the newest length carries its sorted ends, so every table must
+    come out the same whichever lengths were built or asked for before."""
+
+    @staticmethod
+    def assert_same(got_pair, want_pair):
+        for got, want in zip(got_pair, want_pair):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", ["binary", "jump", "constant"])
+    def test_tables_after_building_past_l_max(self, name):
+        syms = table_samples()[name]
+        idx = index_of(syms)
+        ref = naive.SortedTableIndex(Sample.backward(syms))
+        top = ref.max_frequent_length(0.5) + 5
+        idx.ids(top)
+        rng = np.random.default_rng(len(syms))
+        for gamma in (0.7, 0.3, 0.5):
+            for length in rng.permutation(np.arange(1, top + 1)).tolist():
+                got, want = idx.frequent_blocks(length, gamma), ref.frequent_blocks(length, gamma)
+                self.assert_same(got, want)
+        old = rng.permutation(np.arange(1, top)).tolist()
+        for length in old[: len(old) // 2] + [top] + old[len(old) // 2 :]:
+            self.assert_same(idx.positions_by_id(length), ref.positions_by_id(length))
+        idx.ids(top + 1)
+        for length in range(1, top + 2):
+            assert np.array_equal(idx.ids(length), ref.ids(length))
+            assert np.array_equal(idx.l_count(length), ref.l_count(length))
+            self.assert_same(idx.positions_by_id(length), ref.positions_by_id(length))
+            self.assert_same(idx.frequent_blocks(length, 0.5), ref.frequent_blocks(length, 0.5))
+
+
+class TestReadOnlyTables:
+    """The newest length's CSR positions are the ends its next extension
+    reads, so no table an index hands out may be written into."""
+
+    def test_writes_raise(self):
+        idx = index_of(np.random.default_rng(2).integers(0, 2, size=500))
+        l_max = idx.max_frequent_length(0.5)
+        tables = [idx.ids(1), idx.l_count(1), idx.ctx_count(1), *idx.frequent_blocks(1, 0.5)]
+        tables += [*idx.positions_by_id(l_max + 1), *idx.positions_by_id(1)]
+        for table in tables:
+            assert len(table)
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+
+
+class TestSymbolKey:
+    """Symbols no larger than n are ranked by presence instead of sorted;
+    either way the values and length-1 ids are np.unique's."""
+
+    @pytest.mark.parametrize(
+        "syms",
+        [
+            np.random.default_rng(4).choice([0, 3, 4, 17, 40], size=500),
+            np.array([6, 2, 6, 0, 2, 5, 6]),  # largest symbol equal to n
+            np.array([3, 10**12, 3, 8, 10**12, 0]),
+        ],
+        ids=["gapped", "largest-is-n", "huge"],
+    )
+    def test_matches_unique(self, syms):
+        idx = index_of(syms)
+        values, inverse = np.unique(syms, return_inverse=True)
+        assert np.array_equal(idx.symbol_values, values)
+        assert np.array_equal(idx.ids(1), inverse)
+        assert idx.ids(1).dtype == np.int8

@@ -1,8 +1,9 @@
 """Hot numeric kernels, one body each.
 
 Counting over the sample (occurrence scans, dense block ids, the
-discrepancy gaps) is vectorised numpy; block ids come from one stable radix
-pass per length.  The only loops that cannot
+discrepancy gaps) is vectorised numpy; block ids come from one bincount per
+length where the table of (older symbol, previous id) pairs fits in n + 2
+cells, and from one stable radix pass otherwise.  The only loops that cannot
 be vectorised, the samplers, are written once in plain Python and compiled
 in nopython mode when numba is importable (the optional ``jit`` extra);
 without numba the same bodies run as Python.  The samplers draw the same
@@ -59,13 +60,19 @@ def occurrence_positions(data, word, lo, hi):
 # ids(L)[j] is a dense id of the length-L block ending at j, assigned in
 # lexicographic order of block content (time-increasing symbols), -1 where the
 # block does not fit.  A length-L block is one older symbol followed by a
-# length-(L-1) block, so once the ends are sorted by their length-(L-1) block,
-# one stable bucket pass over that older symbol sorts them by their length-L
-# block: the LSD radix refinement behind Manber & Myers (1993).  numpy runs a
-# stable argsort of a key of 16 bits or fewer as a radix sort, so below 32768
-# symbols no length needs a comparison sort.  The pass reads only the
-# previous length's sorted ends and their ids, so no older length's sorted
-# ends need to be kept.
+# length-(L-1) block, so it is named by the pair (older symbol, length-(L-1)
+# id), and ordering the pairs orders the blocks.  Two passes rank the pairs:
+#
+# * the table pass codes each pair as one integer below
+#   n_symbols * n_ids(L-1); where that table fits in the sample's n + 2
+#   cells, one bincount over it gives the counts, the running count of
+#   occupied cells gives the ids, and no sort is made;
+# * the radix pass takes the ends sorted by their length-(L-1) block and
+#   sorts them by their length-L block with one stable bucket pass over the
+#   older symbol: the LSD radix refinement behind Manber & Myers (1993).
+#   numpy runs a stable argsort of a key of 16 bits or fewer as a radix
+#   sort, so below 32768 symbols no length needs a comparison sort.  The
+#   pass reads only the previous length's sorted ends and their ids.
 # ---------------------------------------------------------------------------
 
 
@@ -78,15 +85,46 @@ def narrow_int(count):
     return np.int16 if count <= 32767 else np.int32
 
 
-def extend_block_ids(pad_key, prev_order, prev_trail, length):
-    """Tables of the length-``length`` blocks (length >= 1) from the sorted
-    ends of the length-(length-1) blocks.
+def table_block_ids(pad_key, prev_ids, n_prev, length):
+    """Tables of the length-``length`` blocks (length >= 1) from the ids of
+    the length-(length-1) blocks, by one bincount over the table of
+    (older symbol, previous id) pairs.  The table has
+    ``pad_key[0] * n_prev`` cells; the caller keeps it within n + 2.
 
     ``pad_key`` is the symbol key behind one sentinel slot: ``pad_key[j + 1]``
-    is the key of the symbol at j and ``pad_key[0]`` is one above every
-    symbol key.  ``prev_order`` holds the ends length-2..n sorted by
-    length-(length-1) id, ascending within each id, and ``prev_trail`` the id
-    of each sorted end (length 0 has the one empty block, ending at -1..n).
+    is the key of the symbol at j and ``pad_key[0]``, one above every symbol
+    key, is the number of symbols.  ``prev_ids`` are the ids of the
+    length-(length-1) blocks and ``n_prev`` their count; at length 1 they are
+    None and 1, the one empty block.
+
+    Returns, for the ends length-1..n: the id of each end (-1 before
+    length-1), and the count and earliest end of each id (int32).
+    """
+    n_ends = len(pad_key) - 1
+    # the block ending at e gains the symbol at e - (length - 1)
+    code = pad_key[1 : 1 + max(n_ends + 1 - length, 0)].astype(np.intp)
+    if prev_ids is not None:
+        code *= n_prev
+        code += prev_ids[length - 1 :]
+    cells = int(pad_key[0]) * n_prev
+    counts = np.bincount(code, minlength=cells)
+    present = counts > 0
+    dtype = narrow_int(int(np.count_nonzero(present)))
+    rank = np.cumsum(present, dtype=dtype) - 1
+    ids = np.full(n_ends, -1, dtype=dtype)
+    np.take(rank, code, out=ids[length - 1 :])
+    first = np.full(cells, n_ends, dtype=np.int32)
+    np.minimum.at(first, code, np.arange(length - 1, n_ends, dtype=np.int32))
+    return ids, counts[present].astype(np.int32), first[present]
+
+
+def extend_block_ids(pad_key, prev_order, prev_trail, length):
+    """Tables of the length-``length`` blocks (length >= 2) from the sorted
+    ends of the length-(length-1) blocks, by one stable radix pass.
+
+    ``pad_key`` is as for ``table_block_ids``.  ``prev_order`` holds the
+    ends length-2..n sorted by length-(length-1) id, ascending within each
+    id, and ``prev_trail`` the id of each sorted end.
 
     Returns, for the ends length-1..n: the id of each end (-1 before
     length-1), the ends sorted the same way and the id of each sorted end,

@@ -65,6 +65,22 @@ def _parse_checkpoints(text: str) -> list[int]:
     return pts
 
 
+def _check_replicas(args) -> None:
+    if args.replicas < 1:
+        _fail(f"--replicas must be at least 1, got {args.replicas}")
+
+
+def _load_model(path: str):
+    """The model of a spec file; exits 2 when the file is missing or is not
+    a model spec."""
+    try:
+        return load_model(path)
+    except OSError as e:
+        _fail(f"cannot read model spec {path}: {e.strerror or e}")
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
+        _fail(f"malformed model spec {path}: {e!r}")
+
+
 def _params(args) -> EstimatorParams:
     try:
         return EstimatorParams(gamma=args.gamma, beta=args.beta, epsilon=args.epsilon)
@@ -78,7 +94,8 @@ def _params(args) -> EstimatorParams:
 
 
 def cmd_simulate(args) -> int:
-    model = load_model(args.model)
+    _check_replicas(args)
+    model = _load_model(args.model)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for r in range(args.replicas):
@@ -206,7 +223,12 @@ def _run_replica(task):
     if model is not None:
         sample = generate(model, args_dict["n"], args_dict["seed"], stream=replica)
     else:
-        sample = read_sample(args_dict["input"], fmt=args_dict["format"])
+        try:
+            sample = read_sample(args_dict["input"], fmt=args_dict["format"])
+        except OSError as e:
+            _fail(f"cannot read sample {args_dict['input']}: {e.strerror or e}")
+        except ValueError as e:
+            _fail(f"malformed sample {args_dict['input']}: {e}")
         beyond = [n for n in args_dict["checkpoints"] if n > sample.n]
         if beyond:
             _fail(f"checkpoint {beyond[0]} beyond sample length {sample.n}")
@@ -221,7 +243,8 @@ def cmd_estimate(args) -> int:
         _fail(f"unknown scheme {args.scheme!r}")
     if (args.model is None) == (args.input is None):
         _fail("give exactly one of --model / --input")
-    model = load_model(args.model) if args.model else None
+    _check_replicas(args)
+    model = _load_model(args.model) if args.model else None
     if args.input and args.replicas != 1:
         _fail("--input runs are single-replica")
 

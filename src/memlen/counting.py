@@ -35,14 +35,19 @@ class CountIndex:
     For each materialized block length L the index keeps a dense id array
     (ids assigned in lexicographic order of block content, -1 where the block
     does not fit, in the narrowest signed type that holds the id count), the
-    occurrence count of every id and the earliest end of every id.  Length L
-    is built from length L - 1 by one stable radix pass over the blocks'
-    oldest symbols, read through a symbol key padded with a sentinel slot
-    that the one end too short for length L reads, so that it sorts last and
-    is cut off.  The pass needs only the previous length's ends sorted by
-    id, and the id of each, so the index carries those for the newest length
-    alone.  CSR positions (ends sorted by id, ascending within each id) are
-    formed for a length when first asked for: the carried ends for the
+    occurrence count of every id and the earliest end of every id.  A
+    length-L block is an older symbol followed by a length-(L - 1) block, and
+    length L is built from length L - 1 by one of two passes, chosen by the
+    size of the table of (older symbol, length-(L - 1) id) pairs.  Where the
+    table has no more cells than the padded symbol key (n + 2), one bincount
+    over it ranks the pairs without a sort; length 1 always fits.  Otherwise
+    one stable radix pass over the blocks' oldest symbols refines the ends
+    sorted by length L - 1 into the ends sorted by length L.  That pass needs
+    the previous length's ends sorted by id, and the id of each: the index
+    carries them only while the newest length was radix-built, and sorts
+    them once from the ids when the previous length came from the table.
+    CSR positions (ends sorted by id, ascending within each id) are formed
+    for a length when first asked for: the carried ends for a radix-built
     newest length, a stable argsort of the ids for any other.  Per (length,
     gamma) it also keeps the frequent-block table: the at most n^gamma ids
     occurring more than n^(1-gamma) times, each with its earliest end.  The
@@ -75,12 +80,9 @@ class CountIndex:
         self._ids: dict[int, np.ndarray] = {}
         self._l_count: dict[int, np.ndarray] = {}
         self._first: dict[int, np.ndarray] = {}
-        # sorted ends of the newest length, and the id of each; length 0 has
-        # the one empty block, ending at -1..n
-        self._carry = (
-            np.arange(-1, self.n + 1, dtype=np.int32),
-            np.zeros(self.n + 2, dtype=np.int8),
-        )
+        # sorted ends of the newest length, and the id of each, while that
+        # length was radix-built; None after a table pass
+        self._carry: tuple[np.ndarray, np.ndarray] | None = None
         self._ctx_count: dict[int, np.ndarray] = {}
         self._csr: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._frequent: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
@@ -96,13 +98,23 @@ class CountIndex:
             raise ValueError("block ids are defined for length >= 1")
         have = len(self._ids)  # lengths 1..have are built, in order
         while have < length:
+            n_prev = self.n_ids(have) if have else 1
             have += 1
-            ids, order, trail, counts, first = _kernels.extend_block_ids(
-                self._pad_key, *self._carry, have
-            )
+            if len(self.symbol_values) * n_prev <= len(self._pad_key):
+                ids, counts, first = _kernels.table_block_ids(
+                    self._pad_key, self._ids.get(have - 1), n_prev, have
+                )
+                self._carry = None
+            else:
+                if self._carry is None:
+                    ends = self._sorted_ends(have - 1)
+                    self._carry = (ends, self._ids[have - 1][ends])
+                ids, order, trail, counts, first = _kernels.extend_block_ids(
+                    self._pad_key, *self._carry, have
+                )
+                self._carry = (_read_only(order), trail)
             self._ids[have], self._l_count[have] = _read_only(ids), _read_only(counts)
             self._first[have] = first
-            self._carry = (_read_only(order), trail)
         return self._ids[length]
 
     def n_ids(self, length: int) -> int:
@@ -140,16 +152,20 @@ class CountIndex:
         offsets per id) over the full end range [length-1, n]."""
         if length not in self._csr:
             counts = self.l_count(length)
-            if length == len(self._ids):
+            if length == len(self._ids) and self._carry is not None:
                 positions = self._carry[0]
             else:
-                valid = self._ids[length][length - 1 :]
-                positions = np.argsort(valid, kind="stable").astype(np.int32)
-                positions += length - 1
+                positions = self._sorted_ends(length)
             offsets = np.zeros(len(counts) + 1, dtype=np.int64)
             np.cumsum(counts, out=offsets[1:])
             self._csr[length] = (_read_only(positions), _read_only(offsets))
         return self._csr[length]
+
+    def _sorted_ends(self, length: int) -> np.ndarray:
+        """Ends length-1..n of a built length, sorted stably by id."""
+        positions = np.argsort(self._ids[length][length - 1 :], kind="stable").astype(np.int32)
+        positions += length - 1
+        return _read_only(positions)
 
     def id_positions(self, length: int, u: int) -> np.ndarray:
         positions, offsets = self.positions_by_id(length)

@@ -98,6 +98,47 @@ class TestEstimate:
         assert "checkpoint 5000" in capsys.readouterr().err
         assert not list(out.glob("estimate_*.csv"))
 
+    @pytest.mark.parametrize("replicas", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_replicas_below_one_exit_2(self, tmp_path, parity_spec, capsys, command, replicas):
+        # no replica means no sample and no estimate: refused, not an empty run
+        out = tmp_path / "x"
+        scheme = ["--scheme", "backward"] if command == "estimate" else []
+        with pytest.raises(SystemExit) as e:
+            main([command, "--model", str(parity_spec), *scheme, "--n", "100",
+                  "--replicas", replicas, "--out", str(out)])
+        assert e.value.code == 2
+        assert capsys.readouterr().err.startswith("error: --replicas")
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "text", [None, '{"type": ', "[1, 2]", '{"type": "markov"}'],
+        ids=["missing", "not-json", "not-an-object", "missing-field"],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_bad_model_spec_exits_2(self, tmp_path, capsys, command, text):
+        spec = tmp_path / "model.json"
+        if text is not None:
+            spec.write_text(text)
+        scheme = ["--scheme", "backward"] if command == "estimate" else []
+        with pytest.raises(SystemExit) as e:
+            main([command, "--model", str(spec), *scheme, "--n", "100",
+                  "--out", str(tmp_path / "x")])
+        assert e.value.code == 2
+        want = "error: cannot read" if text is None else "error: malformed"
+        assert capsys.readouterr().err.startswith(f"{want} model spec")
+
+    @pytest.mark.parametrize("text", [None, "0\n1\nx\n"], ids=["missing", "not-integers"])
+    def test_bad_input_exits_2(self, tmp_path, capsys, text):
+        sample = tmp_path / "sample.txt"
+        if text is not None:
+            sample.write_text(text)
+        with pytest.raises(SystemExit) as e:
+            main(["estimate", "--input", str(sample), "--scheme", "backward",
+                  "--n", "1", "--out", str(tmp_path / "x")])
+        assert e.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_forward_p_run(self, tmp_path, parity_spec):
         out = tmp_path / "run"
         rc = main(

@@ -244,7 +244,18 @@ def table_samples():
         "constant": np.full(41, 4),
         "alternating": np.array([(i + 1) % 2 for i in range(101)]),
         "jump": generate(GeometricJumpChain(), 5000, 5).symbols,
+        # six symbols in 41: table at lengths 1-2, radix from 3, and the
+        # table again from the length where few blocks are left
+        "switch": np.random.default_rng(8).integers(0, 6, size=41),
     }
+
+
+def passes(index, top):
+    """'T' or 'R' for each length 1..top: whether the table of (older
+    symbol, previous id) pairs fits in the n + 2 cells of the padded key."""
+    n_prev = [1] + [index.n_ids(length) for length in range(1, top)]
+    fits = [len(index.symbol_values) * n <= index.n + 2 for n in n_prev]
+    return "".join("T" if f else "R" for f in fits)
 
 
 # the id dtype at length 1 sits on each side of the int8 and int16 limits
@@ -252,9 +263,10 @@ WIDE_ALPHABETS = {127: np.int8, 128: np.int16, 32767: np.int16, 32768: np.int32,
 
 
 class TestAgainstSortedTables:
-    """The radix pass gives the per-length tables the comparison sorts gave:
-    ids, counts, CSR positions and offsets, and frequent blocks, at every
-    length up to l_max + 1 (n + 3 on the short samples)."""
+    """The table and radix passes give the per-length tables the comparison
+    sorts gave: ids, counts, CSR positions and offsets, and frequent blocks,
+    at every length up to l_max + 1 (n + 3 on the short samples).  Each
+    length's CSR positions are asked for while it is the newest."""
 
     @staticmethod
     def assert_same_tables(syms, gamma=0.5):
@@ -280,7 +292,9 @@ class TestAgainstSortedTables:
 
     @pytest.mark.parametrize("name", sorted(table_samples()))
     def test_samples(self, name):
-        self.assert_same_tables(table_samples()[name])
+        idx = self.assert_same_tables(table_samples()[name])
+        if name == "switch":
+            assert passes(idx, idx.n + 3) == "TT" + "R" * 33 + "T" * 8
 
     @pytest.mark.parametrize("n_symbols", sorted(WIDE_ALPHABETS))
     def test_wide_alphabets(self, n_symbols):
@@ -315,20 +329,23 @@ class TestAgainstSortedTables:
 
 
 class TestCallOrder:
-    """Only the newest length carries its sorted ends, so every table must
-    come out the same whichever lengths were built or asked for before."""
+    """Only a radix-built newest length carries its sorted ends, so every
+    table must come out the same whichever lengths were built or asked for
+    before, and whichever pass built them."""
 
     @staticmethod
     def assert_same(got_pair, want_pair):
         for got, want in zip(got_pair, want_pair):
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("name", ["binary", "jump", "constant"])
+    @pytest.mark.parametrize("name", ["binary", "jump", "constant", "switch"])
     def test_tables_after_building_past_l_max(self, name):
         syms = table_samples()[name]
         idx = index_of(syms)
         ref = naive.SortedTableIndex(Sample.backward(syms))
-        top = ref.max_frequent_length(0.5) + 5
+        n = len(syms) - 1
+        # the short samples are built to n + 2, past the switch back to the table
+        top = n + 2 if n < 200 else ref.max_frequent_length(0.5) + 5
         idx.ids(top)
         rng = np.random.default_rng(len(syms))
         for gamma in (0.7, 0.3, 0.5):

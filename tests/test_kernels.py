@@ -21,13 +21,21 @@ def test_occurrence_positions_matches_scan(seed):
             assert list(got) == naive.scan_ends(data, word, max(lo, 0), hi)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_extend_block_ids_rank_blocks_lexicographically(seed):
-    # theta and kappa index words in this order
+@pytest.mark.parametrize(
+    "seed, n_symbols",
+    [(seed, 3) for seed in range(5)] + [(5, 20)],
+    ids=[str(seed) for seed in range(5)] + ["20-symbols"],
+)
+def test_extend_block_ids_rank_blocks_lexicographically(seed, n_symbols):
+    # theta and kappa index words in this order.  Three symbols take the
+    # table pass at every length; twenty take the radix pass at lengths 2-5,
+    # where the table of (older symbol, previous id) pairs outgrows n + 2
     rng = np.random.default_rng(10 + seed)
-    data = rng.integers(0, 3, size=300)
+    data = rng.integers(0, n_symbols, size=300)
     index = CountIndex(Sample.backward(data))
     for length in (2, 3, 4, 5):
+        by_table = n_symbols * index.n_ids(length - 1) <= len(data) + 1
+        assert by_table == (n_symbols == 3)
         ids, n_ids = index.ids(length), index.n_ids(length)
         blocks = [tuple(data[j - length + 1 : j + 1]) for j in range(length - 1, len(data))]
         rank = {b: r for r, b in enumerate(sorted(set(blocks)))}

@@ -17,7 +17,6 @@ from .condprob import (
     estimate_cond_prob,
     estimate_markov_order,
     estimate_successor_law,
-    finite_alphabet_memory_estimate,
     forward_recurrences,
     iid_structure_test,
 )
@@ -45,7 +44,6 @@ from .forward import (
     decide_p,
     decide_r,
     forward_index,
-    memory_word_test_forward,
     occurrence_set,
     reconstruct_past,
 )
@@ -58,14 +56,12 @@ from .processes import (
     PerturbedJumpChain,
     RenewalProcess,
     generate,
-    ladder_function_process,
     load_model,
     make_rng,
     model_from_spec,
     model_to_spec,
     parity_chain,
     perturbed_chain_stage,
-    renewal_process,
 )
 from .sequence import (
     EMPTY_WORD,
@@ -75,7 +71,6 @@ from .sequence import (
     Sample,
     Word,
     read_sample,
-    shift_view,
     suffix,
     write_sample,
 )

@@ -25,10 +25,6 @@ class TestVerdict:
     threshold: float
     witness: Optional[tuple[Word, int]] = None
 
-    @property
-    def verdict(self) -> str:
-        return "YES" if self.passed else "NO"
-
 
 def discrepancy_by_length(index: CountIndex, word_length: int, gamma: float) -> np.ndarray:
     """Test statistic for every observed word of the given length at once.
@@ -119,8 +115,8 @@ def max_discrepancy(
 
 
 def memory_word_test(index: CountIndex, w: Word, params: EstimatorParams) -> TestVerdict:
-    """YES when the discrepancy statistic is within the n^(-beta) threshold
-    (ties pass)."""
+    """Passed when the discrepancy statistic is within the n^(-beta)
+    threshold (ties pass)."""
     disc, witness = max_discrepancy(index, w, params.gamma)
     thr = params.test_threshold(index.n)
     return TestVerdict(passed=disc <= thr, discrepancy=disc, threshold=thr, witness=witness)
@@ -156,12 +152,3 @@ def backward_memory_estimate(index: CountIndex, params: EstimatorParams) -> int:
         if disc <= thr:
             return k
     return n
-
-
-__all__ = [
-    "TestVerdict",
-    "discrepancy_by_length",
-    "max_discrepancy",
-    "memory_word_test",
-    "backward_memory_estimate",
-]

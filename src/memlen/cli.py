@@ -2,8 +2,8 @@
 aggregate runs into summary tables.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 internal invariant
-violation.  Replicas run in a process pool capped by MEMLEN_THREADS
-(default 1, fully sequential and deterministic).
+violation.  Replicas run one after another; replica r of a --model run is
+generated from stream r of --seed, as `simulate` writes sample r.
 """
 
 from __future__ import annotations
@@ -11,10 +11,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -44,13 +42,6 @@ CONDPROB_HEADER = ["n", "in_set", "symbol", "estimate", "oracle", "match", "thet
 def _fail(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
     raise SystemExit(2)
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("MEMLEN_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _parse_checkpoints(text: str) -> list[int]:
@@ -215,32 +206,23 @@ def _tail_word(prefix: Sample, width: int = 64) -> Word:
     return Word(tuple(int(s) for s in data[-min(width, len(data)) :]))
 
 
-def _run_replica(task):
-    model, args_dict, replica = task
-    params = EstimatorParams(
-        gamma=args_dict["gamma"], beta=args_dict["beta"], epsilon=args_dict["epsilon"]
-    )
-    if model is not None:
-        sample = generate(model, args_dict["n"], args_dict["seed"], stream=replica)
-    else:
-        try:
-            sample = read_sample(args_dict["input"], fmt=args_dict["format"])
-        except OSError as e:
-            _fail(f"cannot read sample {args_dict['input']}: {e.strerror or e}")
-        except ValueError as e:
-            _fail(f"malformed sample {args_dict['input']}: {e}")
-        beyond = [n for n in args_dict["checkpoints"] if n > sample.n]
-        if beyond:
-            _fail(f"checkpoint {beyond[0]} beyond sample length {sample.n}")
-    return _estimate_one_replica(
-        model, sample, params, args_dict["scheme"], args_dict["checkpoints"]
-    )
+def _read_input(path: str, fmt: str, checkpoints) -> Sample:
+    """The --input sample; exits 2 when it is unreadable or shorter than the
+    last checkpoint."""
+    try:
+        sample = read_sample(path, fmt=fmt)
+    except OSError as e:
+        _fail(f"cannot read sample {path}: {e.strerror or e}")
+    except ValueError as e:
+        _fail(f"malformed sample {path}: {e}")
+    beyond = [n for n in checkpoints if n > sample.n]
+    if beyond:
+        _fail(f"checkpoint {beyond[0]} beyond sample length {sample.n}")
+    return sample
 
 
 def cmd_estimate(args) -> int:
     params = _params(args)
-    if args.scheme not in SCHEMES:
-        _fail(f"unknown scheme {args.scheme!r}")
     if (args.model is None) == (args.input is None):
         _fail("give exactly one of --model / --input")
     _check_replicas(args)
@@ -253,33 +235,19 @@ def cmd_estimate(args) -> int:
         if args.n is None:
             _fail("give --checkpoints or --n")
         checkpoints = [args.n]
-    n_max = checkpoints[-1]
-    args_dict = {
-        "gamma": args.gamma,
-        "beta": args.beta,
-        "epsilon": args.epsilon,
-        "n": args.n or n_max,
-        "seed": args.seed,
-        "scheme": args.scheme,
-        "checkpoints": checkpoints,
-        "input": args.input,
-        "format": args.format,
-    }
-    if args_dict["n"] < n_max:
+    n = args.n or checkpoints[-1]
+    if n < checkpoints[-1]:
         _fail("--n must reach the last checkpoint")
+    if model is None:
+        sample = _read_input(args.input, args.format, checkpoints)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = [(model, args_dict, r) for r in range(args.replicas)]
-    workers = _workers()
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_replica, tasks))
-    else:
-        results = [_run_replica(t) for t in tasks]
-
     header = CONDPROB_HEADER if args.scheme.startswith("condprob") else MEMORY_HEADER
-    for r, rows in enumerate(results):
+    for r in range(args.replicas):
+        if model is not None:
+            sample = generate(model, n, args.seed, stream=r)
+        rows = _estimate_one_replica(model, sample, params, args.scheme, checkpoints)
         with open(out / f"estimate_{r:03d}.csv", "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(header)
@@ -315,8 +283,14 @@ def cmd_report(args) -> int:
         mpath = d / "manifest.json"
         if not mpath.exists():
             _fail(f"missing manifest in {d}")
-        with open(mpath) as f:
-            manifests.append(json.load(f))
+        try:
+            with open(mpath) as f:
+                manifest = json.load(f)
+        except ValueError as e:
+            _fail(f"malformed manifest {mpath}: {e}")
+        if not isinstance(manifest, dict):
+            _fail(f"manifest {mpath} is not a JSON object")
+        manifests.append(manifest)
     schemes = {m.get("scheme") for m in manifests}
     if len(schemes) != 1:
         _fail(f"mixed schemes in report inputs: {sorted(map(str, schemes))}")
@@ -325,7 +299,10 @@ def cmd_report(args) -> int:
     for d, manifest in zip(run_dirs, manifests):
         for path in sorted(d.glob("estimate_*.csv")):
             with open(path, newline="") as f:
-                rows = list(csv.DictReader(f))
+                reader = csv.DictReader(f)
+                rows = list(reader)
+            if not {"in_set", "match"} <= set(reader.fieldnames or ()):
+                _fail(f"{path} lacks the in_set and match columns")
             total = len(rows)
             in_set = sum(1 for r in rows if r["in_set"] == "1")
             matched = [r for r in rows if r["match"] != ""]

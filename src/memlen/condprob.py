@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .backward import backward_memory_estimate, discrepancy_by_length
+from .backward import discrepancy_by_length
 from .counting import CountIndex
 from .errors import InsufficientRecurrencesError, OutOfRangeError, UndefinedConditionalError
 from .forward import forward_index
@@ -219,21 +219,6 @@ def cond_prob_markov(
     return MarkovCondProb(time=n, in_stopping_set=False, order=order)
 
 
-def finite_alphabet_memory_estimate(
-    sample: Sample, params: EstimatorParams, index: CountIndex | None = None
-) -> int:
-    """Shortest suffix no longer than the estimated order that passes the
-    memory-word test.
-
-    That is the backward estimate, since the suffix as long as the estimated
-    order always passes: if it is frequent, by the definition of the order;
-    if not, it has no frequent extension and scores 0.
-    """
-    if index is None:
-        index = forward_index(sample)
-    return backward_memory_estimate(index, params)
-
-
 @dataclass(frozen=True)
 class IidCheck:
     """Successor structure at block recurrences around one occurrence."""
@@ -282,20 +267,3 @@ def iid_structure_test(
         a = stream - stream.mean()
         auto = float(np.sum(a[:-1] * a[1:]) / np.sum(a * a))
     return IidCheck(max_running_deviation=max_dev, lag1_autocorrelation=auto, n_samples=m)
-
-
-__all__ = [
-    "RecurrenceTimes",
-    "CondProbEstimate",
-    "backward_recurrences",
-    "forward_recurrences",
-    "estimate_cond_prob",
-    "estimate_successor_law",
-    "cond_prob_from_recurrences",
-    "estimate_markov_order",
-    "MarkovCondProb",
-    "cond_prob_markov",
-    "finite_alphabet_memory_estimate",
-    "IidCheck",
-    "iid_structure_test",
-]

@@ -287,13 +287,3 @@ def frequent_extensions(
         ends = ends[index.ids(k)[ends - 1] == index.word_id(w)]
     data = index.data
     return {(Word(tuple(int(s) for s in data[e - m + 1 : e - k])), int(data[e])) for e in ends}
-
-
-__all__ = [
-    "CountIndex",
-    "count_context",
-    "count_transition",
-    "empirical_cond_prob",
-    "is_frequent",
-    "frequent_extensions",
-]

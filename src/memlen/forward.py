@@ -23,10 +23,10 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from . import _kernels
-from .backward import TestVerdict, backward_memory_estimate, discrepancy_by_length, memory_word_test
+from .backward import backward_memory_estimate, discrepancy_by_length
 from .counting import CountIndex
 from .errors import OutOfRangeError
-from .sequence import EstimatorParams, Sample, Word, shift_view
+from .sequence import EstimatorParams, Sample, Word
 
 
 # ---------------------------------------------------------------------------
@@ -61,18 +61,9 @@ class StoppingDecision:
 
 def forward_index(sample: Sample) -> CountIndex:
     """Count index over the backward view of a forward sample; array
-    positions coincide with forward time indices."""
-    return CountIndex(shift_view(sample, sample.n))
-
-
-def memory_word_test_forward(
-    sample: Sample, w: Word, params: EstimatorParams, index: CountIndex | None = None
-) -> TestVerdict:
-    """The memory-word test read off the forward sample: identical, bit for
-    bit, to the backward test applied to the reindexed sample."""
-    if index is None:
-        index = forward_index(sample)
-    return memory_word_test(index, w, params)
+    positions coincide with forward time indices, so the memory-word test
+    on this index is the forward test."""
+    return CountIndex(Sample.backward(sample.symbols))
 
 
 def occurrence_set(sample: Sample, w: Word) -> np.ndarray:
@@ -315,17 +306,3 @@ def decide_r(
 ) -> StoppingDecision:
     """One-shot scheme R decision at the endpoint of ``sample``."""
     return ReconstructionScheme(sample, params, backward_estimator).decide()
-
-
-__all__ = [
-    "StoppingDecision",
-    "forward_index",
-    "memory_word_test_forward",
-    "occurrence_set",
-    "decide_p",
-    "Reconstruction",
-    "reconstruct_past",
-    "available_depth",
-    "ReconstructionScheme",
-    "decide_r",
-]

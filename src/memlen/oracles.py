@@ -324,6 +324,3 @@ def oracle_cond(model: ProcessModel, past: Word) -> dict[int, Fraction]:
             raise ImpossiblePastError("no state-revealing block in the past")
         return ans.law
     return exact_chain(model).cond_law(past)
-
-
-__all__ = ["OracleAnswer", "ExactChain", "exact_chain", "oracle_memory", "oracle_cond"]

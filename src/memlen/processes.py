@@ -418,23 +418,6 @@ def _generate_renewal(model: RenewalProcess, rng: np.random.Generator, n_sym: in
     return _kernels.sample_renewal(rng, n_sym, first, np.empty(0, dtype=np.float64), p)
 
 
-def renewal_process(model: RenewalProcess, n: int, seed: int, stream: int = 0) -> Sample:
-    """Convenience alias matching the generator surface."""
-    return generate(model, n, seed, stream)
-
-
-def ladder_function_process(
-    zero_set_spec: Sequence[int] | Mapping[str, int], n: int, seed: int, stream: int = 0
-) -> Sample:
-    """Generate from a ladder function process given extra zeros or a
-    {"mod": m} rule."""
-    if isinstance(zero_set_spec, Mapping):
-        model = LadderFunctionProcess(modulus=int(zero_set_spec["mod"]))
-    else:
-        model = LadderFunctionProcess(extra_zeros=tuple(int(z) for z in zero_set_spec))
-    return generate(model, n, seed, stream)
-
-
 def perturbed_chain_stage(schedule: Sequence[int], k: int) -> PerturbedJumpChain:
     """The order-2 perturbed chain after the first k+1 scheduled swaps
     (k = -1 is the unperturbed lift of the base chain)."""

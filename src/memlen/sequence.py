@@ -59,10 +59,6 @@ class Word:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.letters, dtype=np.int64)
 
-    def concat(self, other: "Word") -> "Word":
-        """This word followed in time by ``other`` (self is the older part)."""
-        return Word(self.letters + other.letters)
-
     def extended_by(self, x: int) -> "Word":
         return Word(self.letters + (x,))
 
@@ -128,16 +124,6 @@ def suffix(sample: Sample, k: int) -> Word:
     if k == 0:
         return EMPTY_WORD
     return Word(tuple(int(s) for s in sample.symbols[len(sample) - k :]))
-
-
-def shift_view(sample: Sample, n: int) -> Sample:
-    """Reindex a forward sample X_0..X_n so it reads as a backward sample
-    ending at time 0.  Pure reindexing: the symbol array is shared."""
-    if sample.orientation != "forward":
-        raise ValueError("shift_view expects a forward sample")
-    if n != sample.n:
-        raise OutOfRangeError(f"shift by {n} does not match sample length {len(sample)}")
-    return Sample(sample.symbols, origin=-n, orientation="backward")
 
 
 @dataclass(frozen=True)

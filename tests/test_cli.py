@@ -193,6 +193,25 @@ class TestEstimate:
 
         assert run("a") == run("b")
 
+    def test_replica_r_estimates_simulated_sample_r(self, tmp_path, parity_spec):
+        # replica r of a --model run is stream r of the seed, as simulate writes it
+        cols = ["n", "in_set", "estimate", "theta", "kappa"]
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--model", str(parity_spec), "--n", "1500", "--seed", "4",
+                     "--replicas", "3", "--format", "bin", "--out", str(sim)]) == 0
+        run = tmp_path / "run"
+        assert main(["estimate", "--model", str(parity_spec), "--scheme", "forward-p",
+                     "--checkpoints", "500,1500", "--seed", "4", "--replicas", "3",
+                     "--out", str(run)]) == 0
+        for r in range(3):
+            one = tmp_path / f"input_{r}"
+            assert main(["estimate", "--input", str(sim / f"sample_{r:03d}.bin"),
+                         "--format", "bin", "--scheme", "forward-p",
+                         "--checkpoints", "500,1500", "--out", str(one)]) == 0
+            got = [[row[c] for c in cols] for row in read_csv(run / f"estimate_{r:03d}.csv")]
+            want = [[row[c] for c in cols] for row in read_csv(one / "estimate_000.csv")]
+            assert got == want
+
 
 @pytest.fixture(scope="module")
 def jump_bin(tmp_path_factory):
@@ -287,6 +306,25 @@ class TestReport:
         with pytest.raises(SystemExit) as e:
             main(["report", str(empty)])
         assert e.value.code == 2
+
+    @pytest.mark.parametrize(
+        "manifest, csv_text",
+        [
+            ('{"scheme": ', "n,in_set,match\n100,1,1\n"),
+            ("[1]", "n,in_set,match\n100,1,1\n"),
+            ('{"scheme": "backward"}', "n,estimate\n100,3\n"),
+        ],
+        ids=["not-json", "not-an-object", "no-in-set-column"],
+    )
+    def test_malformed_run_exits_2(self, tmp_path, capsys, manifest, csv_text):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "manifest.json").write_text(manifest)
+        (run / "estimate_000.csv").write_text(csv_text)
+        with pytest.raises(SystemExit) as e:
+            main(["report", str(run)])
+        assert e.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_empty_stopping_set_gives_density_zero(self, tmp_path):
         run = tmp_path / "run"

@@ -10,12 +10,12 @@ from memlen import (
     Sample,
     UndefinedConditionalError,
     Word,
+    backward_memory_estimate,
     backward_recurrences,
     cond_prob_from_recurrences,
     cond_prob_markov,
     estimate_cond_prob,
     estimate_markov_order,
-    finite_alphabet_memory_estimate,
     forward_recurrences,
     iid_structure_test,
     parity_chain,
@@ -189,15 +189,21 @@ class TestCondProbMarkov:
 
 
 class TestFiniteAlphabetEstimate:
+    """The paper's finite-alphabet estimator, the shortest suffix no longer
+    than the estimated order that passes the test, is the backward estimate
+    on the forward index: the suffix as long as the estimated order always
+    passes (if frequent, by the definition of the order; if not, it has no
+    frequent extension and scores 0)."""
+
     def test_iid(self):
         rng = np.random.default_rng(6)
         s = Sample.forward(rng.integers(0, 2, size=4000))
-        assert finite_alphabet_memory_estimate(s, EstimatorParams()) == 0
+        assert backward_memory_estimate(forward_index(s), EstimatorParams()) == 0
 
     def test_order_one(self):
         rows = {(0,): {0: 0.9, 1: 0.1}, (1,): {0: 0.4, 1: 0.6}}
         s = generate(MarkovKernel(order=1, rows=rows), 20_000, seed=7)
-        assert finite_alphabet_memory_estimate(s, EstimatorParams()) == 1
+        assert backward_memory_estimate(forward_index(s), EstimatorParams()) == 1
 
     @staticmethod
     def _check_against_naive(data, params):
@@ -205,7 +211,7 @@ class TestFiniteAlphabetEstimate:
         idx = forward_index(s)
         order = estimate_markov_order(s, params, index=idx)
         want = naive.finite_alphabet_memory_estimate(idx, params, order)
-        assert finite_alphabet_memory_estimate(s, params, index=idx) == want
+        assert backward_memory_estimate(idx, params) == want
 
     @given(
         st.lists(st.integers(0, 2), min_size=2, max_size=400),

@@ -22,7 +22,6 @@ from memlen import (
     frequent_extensions,
     generate,
     is_frequent,
-    shift_view,
 )
 from memlen.forward import ReconstructionScheme, forward_index
 
@@ -313,7 +312,7 @@ class TestAgainstSortedTables:
             assert backward_memory_estimate(
                 index_of(syms), params
             ) == backward_memory_estimate(naive.SortedTableIndex(Sample.backward(syms)), params)
-            ref = naive.SortedTableIndex(shift_view(forward, forward.n))
+            ref = naive.SortedTableIndex(Sample.backward(syms))
             assert decide_p(forward, params, index=forward_index(forward)) == decide_p(
                 forward, params, index=ref
             )

@@ -10,10 +10,8 @@ from memlen import (
     decide_p,
     decide_r,
     memory_word_test,
-    memory_word_test_forward,
     occurrence_set,
     reconstruct_past,
-    shift_view,
 )
 from memlen.counting import CountIndex
 from memlen.forward import ReconstructionScheme, StoppingDecision, forward_index
@@ -42,9 +40,9 @@ class TestForwardTest:
         rng = np.random.default_rng(0)
         s = Sample.forward(rng.integers(0, 2, size=120))
         p = EstimatorParams()
-        idx = CountIndex(shift_view(s, s.n))
+        idx = CountIndex(Sample.backward(s.symbols))
         for w in [Word(()), Word((0,)), Word((1, 0))]:
-            a = memory_word_test_forward(s, w, p)
+            a = memory_word_test(forward_index(s), w, p)
             b = memory_word_test(idx, w, p)
             assert (a.passed, a.discrepancy, a.threshold) == (
                 b.passed,
@@ -55,8 +53,8 @@ class TestForwardTest:
     def test_alternating(self):
         s = Sample.forward([i % 2 for i in range(101)])
         p = EstimatorParams()
-        assert memory_word_test_forward(s, Word((s.symbols[-1],)), p).passed
-        assert not memory_word_test_forward(s, Word(()), p).passed
+        assert memory_word_test(forward_index(s), Word((s.symbols[-1],)), p).passed
+        assert not memory_word_test(forward_index(s), Word(()), p).passed
 
 
 class TestReconstruction:

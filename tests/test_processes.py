@@ -145,27 +145,9 @@ class TestLadder:
 
 
 class TestConvenienceSurfaces:
-    def test_ladder_function_process_list_spec(self):
-        from memlen import ladder_function_process
-
-        s = ladder_function_process([5, 8], 500, seed=11)
-        assert len(s) == 501
-        t = generate(LadderFunctionProcess(extra_zeros=(5, 8)), 500, seed=11)
-        assert np.array_equal(s.symbols, t.symbols)
-
     def test_ladder_function_process_rule_spec(self):
-        from memlen import ladder_function_process
-
-        s = ladder_function_process({"mod": 6}, 500, seed=12)
+        s = generate(model_from_spec({"type": "ladder", "mod": 6}), 500, seed=12)
         assert set(np.unique(s.symbols)) <= {0, 1}
-
-    def test_renewal_alias(self):
-        from memlen import renewal_process
-
-        model = RenewalProcess(geometric_p=0.4)
-        a = renewal_process(model, 300, seed=13)
-        b = generate(model, 300, seed=13)
-        assert np.array_equal(a.symbols, b.symbols)
 
 
 class TestRenewal:

@@ -10,7 +10,6 @@ from memlen import (
     Sample,
     Word,
     read_sample,
-    shift_view,
     suffix,
     write_sample,
 )
@@ -35,19 +34,21 @@ class TestSuffix:
 
 
 class TestShiftView:
+    """A forward sample X_0..X_n read as a backward sample ending at time 0."""
+
     def test_reindexes(self):
         s = Sample.forward([1, 0, 1])
-        b = shift_view(s, 2)
+        b = Sample.backward(s.symbols)
         assert b.orientation == "backward"
         assert b.origin == -2
         assert list(b.symbols) == [1, 0, 1]
 
     def test_identity_on_singleton(self):
-        b = shift_view(Sample.forward([5]), 0)
+        b = Sample.backward(Sample.forward([5]).symbols)
         assert b.origin == 0 and list(b.symbols) == [5]
 
     def test_last_element_lands_at_zero(self):
-        b = shift_view(Sample.forward([1, 2, 3, 4]), 3)
+        b = Sample.backward(Sample.forward([1, 2, 3, 4]).symbols)
         assert b.last_index == 0
         assert b.symbols[-1] == 4
 
@@ -55,7 +56,7 @@ class TestShiftView:
     def test_suffix_commutes(self, syms, data):
         s = Sample.forward(syms)
         k = data.draw(st.integers(0, len(syms)))
-        assert suffix(shift_view(s, s.n), k) == suffix(s, k)
+        assert suffix(Sample.backward(s.symbols), k) == suffix(s, k)
 
 
 class TestSampleInvariants:

@@ -3,13 +3,16 @@
 Counting over the sample (occurrence scans, dense block ids, the
 discrepancy gaps) is vectorised numpy; block ids come from one bincount per
 length where the table of (older symbol, previous id) pairs fits in n + 2
-cells, and from one stable radix pass otherwise.  The only loops that cannot
-be vectorised, the samplers, are written once in plain Python and compiled
-in nopython mode when numba is importable (the optional ``jit`` extra);
-without numba the same bodies run as Python.  The samplers draw the same
-uniforms in the same order either way, so a seed gives the same sample with
-or without numba.
+cells, and from one stable radix pass otherwise.  The finite chain and the
+geometric jump chain are sampled by numpy scans that draw the same uniforms
+and make the same float comparisons as a step-by-step walk.  The perturbed
+jump, ladder and renewal samplers are per-step loops, written once in plain
+Python and compiled in nopython mode when numba is importable (the optional
+``jit`` extra); without numba the same bodies run as Python.  A seed gives
+the same sample with or without numba.
 """
+
+import math
 
 import numpy as np
 
@@ -177,26 +180,62 @@ def extension_gaps(trip, ends, ctx_w, ids_w1, ids_m1, cnt_w1, cnt_m, ctx_m1):
 
 
 # ---------------------------------------------------------------------------
-# Samplers.  Each consumes exactly one uniform per generated step, so the
-# compiled and the interpreted body produce identical streams.
+# Samplers.  Each draws its uniforms from the generator in the order a
+# step-by-step walk would (``rng.random(k)`` yields the values of k calls of
+# ``rng.random()``), so a seed gives one sample whichever body draws it.
+#
+# The finite chain and the geometric jump chain are numpy scans.  The
+# perturbed, ladder and renewal samplers are per-step loops, compiled when
+# numba is importable.
 # ---------------------------------------------------------------------------
 
 
-@jit
 def sample_finite_chain(rng, n_steps, ctx0, next_ctx, cum, out_syms):
-    # ctx0: initial context id; next_ctx[ctx, choice] -> context id;
-    # cum[ctx]: cumulative row probabilities; out_syms[ctx, choice] -> symbol.
-    n_choices = cum.shape[1]
-    out = np.empty(n_steps, dtype=np.int64)
-    ctx = ctx0
-    for i in range(n_steps):
-        u = rng.random()
-        c = 0
-        while c < n_choices - 1 and u >= cum[ctx, c]:
-            c += 1
-        out[i] = out_syms[ctx, c]
-        ctx = next_ctx[ctx, c]
-    return out
+    """Symbols of ``n_steps`` steps of a finite chain from context ``ctx0``.
+
+    ``next_ctx[ctx, choice]`` is the next context id, ``cum[ctx]`` the
+    cumulative row probabilities and ``out_syms[ctx, choice]`` the symbol
+    emitted.  A step at context c with uniform u takes the first choice
+    whose cumulative probability exceeds u, the last one at the latest.
+
+    The steps are cut into blocks of about sqrt(n_steps).  One pass walks
+    every block from every context at once, giving each block's map from
+    start to end context; a scalar pass threads ``ctx0`` through those maps;
+    a last pass walks all blocks at once from their known start contexts.
+    Transients are O(n_steps + sqrt(n_steps) * contexts * width).
+    """
+    n_ctx, width = cum.shape
+    block = max(math.isqrt(n_steps), 1)
+    n_blocks = max(-(-n_steps // block), 1)
+    # uniform t of block b is step b * block + t; the tail pad is never read
+    # into the output
+    u = np.zeros((n_blocks, block))
+    rng.random(out=u.reshape(-1)[:n_steps])
+    bounds = np.ascontiguousarray(cum[:, :-1].T)
+    next_flat = next_ctx.ravel()
+
+    def cells(ctx, u_t):
+        # flat (context, choice) cell of each step: the choice counts the
+        # cumulative probabilities at or below u
+        choice = (bounds[:, ctx] <= u_t).sum(axis=0)
+        return ctx * width + choice
+
+    # the context each full block ends in, from every start context
+    ends = np.broadcast_to(np.arange(n_ctx), (n_blocks - 1, n_ctx))
+    for t in range(block):
+        ends = next_flat[cells(ends, u[:-1, t, None])]
+    starts = np.empty(n_blocks, dtype=np.intp)
+    ctx = starts[0] = ctx0
+    for b in range(n_blocks - 1):
+        ctx = starts[b + 1] = ends[b, ctx]
+    out = np.empty((n_blocks, block), dtype=out_syms.dtype)
+    syms_flat = out_syms.ravel()
+    ctx = starts
+    for t in range(block):
+        cell = cells(ctx, u[:, t])
+        out[:, t] = syms_flat[cell]
+        ctx = next_flat[cell]
+    return out.reshape(-1)[:n_steps]
 
 
 @jit
@@ -221,16 +260,61 @@ def step_geometric_jump(u, s):
     return s + r
 
 
-@jit
+def _down_thresholds():
+    # the running sums of step_geometric_jump's down-jump loop; they reach
+    # 0.5 in floating point by j = 53
+    table = np.empty(64)
+    acc = 0.0
+    for j in range(64):
+        acc += 2.0 ** (-j - 2)
+        table[j] = acc
+    return table
+
+
+_DOWN_THRESHOLDS = _down_thresholds()
+_NO_CAP = np.iinfo(np.int64).max
+
+
+def geometric_jump_maps(u):
+    """Each uniform's step of the geometric jump chain as s -> min(a, s + b).
+
+    In ``step_geometric_jump`` the stay threshold is 0.5 at every s and the
+    down-jump thresholds do not depend on s.  So u < 0.5 moves s to
+    min(J(u), s), J(u) being the first down-jump threshold above u, and
+    u >= 0.5 climbs by the geometric r of u at every s.  Returns the caps a
+    (int64, no cap on a climb) and the climbs b.
+    """
+    climb = u >= 0.5
+    a = np.searchsorted(_DOWN_THRESHOLDS, u, side="right")
+    a[climb] = _NO_CAP
+    v = u - 0.5
+    v /= 0.5
+    np.minimum(v, np.nextafter(1.0, 0.0), out=v)
+    np.subtract(1.0, v, out=v)
+    np.log2(v, out=v)
+    np.negative(v, out=v)
+    b = v.astype(np.int64)
+    b += 1
+    b[~climb] = 0
+    return a, b
+
+
 def sample_geometric_jump(rng, n_steps, burn_in, s0):
-    out = np.empty(n_steps, dtype=np.int64)
-    s = s0
-    for i in range(burn_in):
-        s = step_geometric_jump(rng.random(), s)
-    for i in range(n_steps):
-        s = step_geometric_jump(rng.random(), s)
-        out[i] = s
-    return out
+    """States after each of ``n_steps`` steps that follow ``burn_in`` steps
+    from ``s0``.
+
+    The maps s -> min(a, s + b) compose in closed form: after the steps up
+    to i, with S the running sum of b, the state is
+    S_i + min(s0, min over k <= i of (a_k - S_k)).  The burn-in is a prefix
+    of the same scan.
+    """
+    a, b = geometric_jump_maps(rng.random(burn_in + n_steps))
+    total = np.cumsum(b, out=b)
+    a -= total
+    np.minimum.accumulate(a, out=a)
+    np.minimum(a, s0, out=a)
+    a += total
+    return a[burn_in:]
 
 
 @jit

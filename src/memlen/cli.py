@@ -306,8 +306,11 @@ def cmd_report(args) -> int:
             total = len(rows)
             in_set = sum(1 for r in rows if r["in_set"] == "1")
             matched = [r for r in rows if r["match"] != ""]
+            bad = [r["match"] for r in matched if r["match"] not in ("0", "1")]
+            if bad:
+                _fail(f"{path} has a match cell {bad[0]!r} that is not 0, 1 or blank")
             match_rate = (
-                sum(int(r["match"]) for r in matched) / len(matched) if matched else ""
+                sum(r["match"] == "1" for r in matched) / len(matched) if matched else ""
             )
             density = in_set / total if total else 0.0
             per_replica.append(

@@ -322,7 +322,7 @@ def generate(model: ProcessModel, n: int, seed: int, stream: int = 0) -> Sample:
         Length parameter; the sample holds n+1 symbols.
     seed, stream : int
         Master seed and replica stream; the pair fully determines the
-        output (PCG64, one uniform per step).
+        output (PCG64 uniforms, drawn in the order of a step-by-step walk).
 
     Returns
     -------
@@ -371,10 +371,12 @@ def generate(model: ProcessModel, n: int, seed: int, stream: int = 0) -> Sample:
     if isinstance(model, LadderFunctionProcess):
         s0 = _draw_ladder_stationary(rng)
         hidden = _kernels.sample_ladder_chain(rng, n_sym, s0)
-        data = np.fromiter(
-            (model.observe(int(s)) for s in hidden), dtype=np.int64, count=n_sym
-        )
-        return Sample.forward(data)
+        # the observe map over the whole path at once
+        if model.modulus is not None:
+            extra = (hidden >= 4) & (hidden % model.modulus == 0)
+        else:
+            extra = np.isin(hidden, model.extra_zeros)
+        return Sample.forward(((hidden > 1) & ~extra).astype(np.int64))
 
     if isinstance(model, RenewalProcess):
         return Sample.forward(_generate_renewal(model, rng, n_sym))

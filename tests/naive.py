@@ -2,11 +2,13 @@
 
 Everything here recomputes statistics by direct window scans over the raw
 symbol array (numpy sliding windows), deliberately sharing no code with the
-indexed fast paths.
+indexed fast paths.  The samplers are step-by-step walks that draw one
+uniform per step, the references for the scans in ``memlen._kernels``.
 """
 
 import numpy as np
 
+from memlen._kernels import step_geometric_jump
 from memlen.counting import CountIndex
 from memlen.forward import StoppingDecision, reconstruct_past
 from memlen.sequence import Sample
@@ -453,3 +455,33 @@ class SortedTableIndex(CountIndex):
                 ids, ends = ids[order], ends[order]
             self._sorted_frequent[key] = (ids, ends)
         return self._sorted_frequent[key]
+
+
+# ---------------------------------------------------------------------------
+# Samplers: one uniform per step, walked one step at a time.
+# ---------------------------------------------------------------------------
+
+
+def sample_finite_chain(rng, n_steps, ctx0, next_ctx, cum, out_syms):
+    n_choices = cum.shape[1]
+    out = np.empty(n_steps, dtype=np.int64)
+    ctx = ctx0
+    for i in range(n_steps):
+        u = rng.random()
+        c = 0
+        while c < n_choices - 1 and u >= cum[ctx, c]:
+            c += 1
+        out[i] = out_syms[ctx, c]
+        ctx = next_ctx[ctx, c]
+    return out
+
+
+def sample_geometric_jump(rng, n_steps, burn_in, s0):
+    out = np.empty(n_steps, dtype=np.int64)
+    s = s0
+    for i in range(burn_in):
+        s = step_geometric_jump(rng.random(), s)
+    for i in range(n_steps):
+        s = step_geometric_jump(rng.random(), s)
+        out[i] = s
+    return out

@@ -313,8 +313,9 @@ class TestReport:
             ('{"scheme": ', "n,in_set,match\n100,1,1\n"),
             ("[1]", "n,in_set,match\n100,1,1\n"),
             ('{"scheme": "backward"}', "n,estimate\n100,3\n"),
+            ('{"scheme": "backward"}', "n,in_set,match\n100,1,1\n200,1,yes\n"),
         ],
-        ids=["not-json", "not-an-object", "no-in-set-column"],
+        ids=["not-json", "not-an-object", "no-in-set-column", "bad-match-cell"],
     )
     def test_malformed_run_exits_2(self, tmp_path, capsys, manifest, csv_text):
         run = tmp_path / "run"

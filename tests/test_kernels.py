@@ -5,8 +5,9 @@ import pytest
 
 import memlen._kernels as K
 import naive
-from memlen import CountIndex, Sample
+from memlen import CountIndex, MarkovKernel, Sample, parity_chain
 from memlen.condprob import backward_recurrences, forward_recurrences
+from memlen.processes import _kernel_tables
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -57,6 +58,117 @@ def test_sampler_streams_agree_with_python_loop():
         s = K.step_geometric_jump(rng_b.random(), s)
         out_b[i] = s
     assert np.array_equal(a, out_b)
+
+
+def _down_jump_sums():
+    # the running sums of step_geometric_jump's down-jump loop
+    sums, acc = [], 0.0
+    for j in range(64):
+        acc += 2.0 ** (-j - 2)
+        sums.append(acc)
+    return sums
+
+
+def test_geometric_jump_maps_match_step_at_float_boundaries():
+    # pins what the scan relies on: the stay threshold is 0.5 at every s and
+    # the down-jump thresholds do not depend on s
+    us = [0.0, 0.5 - 2.0**-53, 0.5, np.nextafter(1.0, 0.0)]
+    for acc in _down_jump_sums():
+        us += [np.nextafter(acc, 0.0), acc, np.nextafter(acc, 1.0)]
+    # the climbs change where 1 - v, v = (u - 0.5) / 0.5, is a power of two
+    for k in range(1, 54):
+        edge = 1.0 - 2.0 ** (-k - 1)
+        us += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
+    us = np.array([u for u in us if 0.0 <= u < 1.0])
+    a, b = K.geometric_jump_maps(us)
+    for s in range(71):
+        expected = [K.step_geometric_jump(float(u), s) for u in us]
+        assert list(np.minimum(a, s + b)) == expected, s
+
+
+def _zero_cell_kernel():
+    # 9 contexts over 3 symbols, each row with a zero-probability cell
+    rows = {
+        (a, b): {x: (0.0 if x == (a + b) % 3 else 0.5) for x in range(3)}
+        for a in range(3)
+        for b in range(3)
+    }
+    return MarkovKernel(order=2, rows=rows)
+
+
+# block sizes are isqrt(n): 400 is a perfect square, 420 = 20 * 21 ends a
+# block, and 419 and 421 fall one step short of and one step past it
+SAMPLER_LENGTHS = (1, 2, 400, 419, 420, 421, 10_001)
+
+
+class _Uniforms:
+    """Stands in for a generator, handing out given uniforms in order."""
+
+    def __init__(self, values):
+        self.values = values
+        self.drawn = 0
+
+    def random(self, out=None):
+        k = 1 if out is None else len(out)
+        values = self.values[self.drawn : self.drawn + k]
+        self.drawn += k
+        if out is None:
+            return float(values[0])
+        out[:] = values
+        return out
+
+
+KERNEL_NAMES = ["parity", "order2", "zero-cells", "one-context"]
+
+
+def _kernel(name, order2_kernel):
+    return {
+        "parity": parity_chain().kernel,
+        "order2": order2_kernel,
+        "zero-cells": _zero_cell_kernel(),
+        "one-context": MarkovKernel(order=1, rows={(4,): {4: 1.0}}),
+    }[name]
+
+
+@pytest.mark.parametrize("kernel_name", KERNEL_NAMES)
+def test_finite_chain_sampler_matches_step_loop(kernel_name, order2_kernel):
+    _, _, cum, out_syms, next_ctx = _kernel_tables(_kernel(kernel_name, order2_kernel))
+    for seed in (1, 2, 3):
+        ctx0 = seed % len(cum)
+        for n in SAMPLER_LENGTHS:
+            rng_a = np.random.default_rng(seed)
+            rng_b = np.random.default_rng(seed)
+            got = K.sample_finite_chain(rng_a, n, ctx0, next_ctx, cum, out_syms)
+            want = naive.sample_finite_chain(rng_b, n, ctx0, next_ctx, cum, out_syms)
+            assert np.array_equal(got, want), (seed, n)
+            assert rng_a.random() == rng_b.random()
+
+
+@pytest.mark.parametrize("kernel_name", KERNEL_NAMES)
+def test_finite_chain_sampler_matches_step_loop_at_row_boundaries(kernel_name, order2_kernel):
+    # uniforms on the cumulative probabilities and their neighbours, where
+    # the choice of a step turns on a tie
+    _, _, cum, out_syms, next_ctx = _kernel_tables(_kernel(kernel_name, order2_kernel))
+    edges = np.unique(np.concatenate([[0.0], cum.ravel()]))
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    edges = edges[(edges >= 0.0) & (edges < 1.0)]
+    values = np.random.default_rng(4).choice(edges, size=2 * 421)
+    for n in SAMPLER_LENGTHS[:-1]:
+        got = K.sample_finite_chain(_Uniforms(values), n, 0, next_ctx, cum, out_syms)
+        want = naive.sample_finite_chain(_Uniforms(values), n, 0, next_ctx, cum, out_syms)
+        assert np.array_equal(got, want), n
+
+
+@pytest.mark.parametrize("burn_in, s0", [(0, 0), (0, 60), (37, 5)])
+def test_geometric_jump_sampler_matches_step_loop(burn_in, s0):
+    for seed in (1, 2, 3):
+        for n in SAMPLER_LENGTHS:
+            rng_a = np.random.default_rng(seed)
+            rng_b = np.random.default_rng(seed)
+            got = K.sample_geometric_jump(rng_a, n, burn_in, s0)
+            want = naive.sample_geometric_jump(rng_b, n, burn_in, s0)
+            assert np.array_equal(got, want), (seed, n)
+            assert rng_a.random() == rng_b.random()
 
 
 @pytest.mark.parametrize("seed", range(5))

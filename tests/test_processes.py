@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -194,6 +195,37 @@ class TestEmpiricalConvergence:
                     continue
                 worst = max(worst, abs(float(np.mean(succ == x)) - p))
         assert worst <= 0.01
+
+
+# sha256 of generate(model, 5000, seed=3).symbols.tobytes(), recorded before
+# the finite and jump chain samplers became numpy scans: a change to any
+# sampler's stream shows here
+STREAM_DIGESTS = {
+    "markov-order2": "e7b2a6504a58dcdec1f2947982481fa1c7d330a738ce4de69a490c9d62aba221",
+    "hidden-parity": "6d08d863e4307ef43dee3c0b995f2224334bcee5bf6bd28e487ed67909f77bef",
+    "geometric-jump": "bc948b44197013583260734f142e2d0cc95a848604bea3ae02b9e3529a8d6d52",
+    "perturbed-jump": "506a881111d32c1da9bc6379d1ff33e3116ac92213947422a434372d68facd03",
+    "ladder-extra-zeros": "2838def988d24a1daa9803e2c4ccb274106cf74dab5bee1f6d16c2834a354c9d",
+    "ladder-modulus": "4d3f934610db2bf77747f53646bcf7bfb34b86e6ff11e479d835906794b6de9f",
+    "renewal-gap-table": "fbbc017b36d1923ad491f5201b5c6680d277655fc2de17e3e589af5ee2428aa1",
+    "renewal-geometric": "5d8077d9c3f3178df2476608828c5af4a78fc76149bebd8e2d8941e605122a5d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_DIGESTS))
+def test_generate_streams_are_pinned(name, order2_kernel):
+    model = {
+        "markov-order2": order2_kernel,
+        "hidden-parity": parity_chain(),
+        "geometric-jump": GeometricJumpChain(),
+        "perturbed-jump": PerturbedJumpChain(schedule=(3, 5, 8), stage=1),
+        "ladder-extra-zeros": LadderFunctionProcess(extra_zeros=(4, 7)),
+        "ladder-modulus": LadderFunctionProcess(modulus=3),
+        "renewal-gap-table": RenewalProcess(gap_probs={1: 0.2, 3: 0.5, 4: 0.3}),
+        "renewal-geometric": RenewalProcess(geometric_p=0.3),
+    }[name]
+    symbols = generate(model, 5000, seed=3).symbols
+    assert hashlib.sha256(symbols.tobytes()).hexdigest() == STREAM_DIGESTS[name]
 
 
 class TestStationary:

@@ -207,8 +207,8 @@ def sample_finite_chain(rng, n_steps, ctx0, next_ctx, cum, out_syms):
     n_ctx, width = cum.shape
     block = max(math.isqrt(n_steps), 1)
     n_blocks = max(-(-n_steps // block), 1)
-    # uniform t of block b is step b * block + t; the tail pad is never read
-    # into the output
+    # uniform t of block b is step b * block + t; the steps past n_steps at
+    # the end of the last block walk zeros and are cut off
     u = np.zeros((n_blocks, block))
     rng.random(out=u.reshape(-1)[:n_steps])
     bounds = np.ascontiguousarray(cum[:, :-1].T)
@@ -217,7 +217,7 @@ def sample_finite_chain(rng, n_steps, ctx0, next_ctx, cum, out_syms):
     def cells(ctx, u_t):
         # flat (context, choice) cell of each step: the choice counts the
         # cumulative probabilities at or below u
-        choice = (bounds[:, ctx] <= u_t).sum(axis=0)
+        choice = np.add.reduce(bounds[:, ctx] <= u_t, axis=0)
         return ctx * width + choice
 
     # the context each full block ends in, from every start context
@@ -260,18 +260,9 @@ def step_geometric_jump(u, s):
     return s + r
 
 
-def _down_thresholds():
-    # the running sums of step_geometric_jump's down-jump loop; they reach
-    # 0.5 in floating point by j = 53
-    table = np.empty(64)
-    acc = 0.0
-    for j in range(64):
-        acc += 2.0 ** (-j - 2)
-        table[j] = acc
-    return table
-
-
-_DOWN_THRESHOLDS = _down_thresholds()
+# the running sums of step_geometric_jump's down-jump loop, added in the same
+# order; they reach 0.5 in floating point by j = 53
+_DOWN_THRESHOLDS = np.add.accumulate([2.0 ** (-j - 2) for j in range(64)])
 _NO_CAP = np.iinfo(np.int64).max
 
 

@@ -3,32 +3,18 @@
 Counting over the sample (occurrence scans, dense block ids, the
 discrepancy gaps) is vectorised numpy; block ids come from one bincount per
 length where the table of (older symbol, previous id) pairs fits in n + 2
-cells, and from one stable radix pass otherwise.  The finite chain and the
-geometric jump chain are sampled by numpy scans that draw the same uniforms
-and make the same float comparisons as a step-by-step walk.  The perturbed
-jump, ladder and renewal samplers are per-step loops, written once in plain
-Python and compiled in nopython mode when numba is importable (the optional
-``jit`` extra); without numba the same bodies run as Python.  A seed gives
-the same sample with or without numba.
+cells, and from one stable radix pass otherwise.  The samplers draw the
+same uniforms and make the same float comparisons as a step-by-step walk:
+the finite, geometric jump, ladder and renewal chains by numpy scans, the
+perturbed jump chain by a loop over the geometric jump chain's step maps.
 """
 
 import math
 
 import numpy as np
 
-try:
-    from numba import njit as _njit
-
-    NUMBA_ENABLED = True
-except ImportError:  # pragma: no cover
-    NUMBA_ENABLED = False
-
-
-def jit(fn):
-    """Apply nopython JIT when numba is importable, otherwise return fn."""
-    if NUMBA_ENABLED:
-        return _njit(cache=True)(fn)
-    return fn
+# read by perfbench/worker.py to record the backend; nothing is compiled
+NUMBA_ENABLED = False
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +168,9 @@ def extension_gaps(trip, ends, ctx_w, ids_w1, ids_m1, cnt_w1, cnt_m, ctx_m1):
 # ---------------------------------------------------------------------------
 # Samplers.  Each draws its uniforms from the generator in the order a
 # step-by-step walk would (``rng.random(k)`` yields the values of k calls of
-# ``rng.random()``), so a seed gives one sample whichever body draws it.
-#
-# The finite chain and the geometric jump chain are numpy scans.  The
-# perturbed, ladder and renewal samplers are per-step loops, compiled when
-# numba is importable.
+# ``rng.random()``) and makes the walk's float comparisons, so a seed gives
+# the walk's sample.  The ladder and renewal samplers may draw uniforms past
+# the last one they use.
 # ---------------------------------------------------------------------------
 
 
@@ -238,30 +222,9 @@ def sample_finite_chain(rng, n_steps, ctx0, next_ctx, cum, out_syms):
     return out.reshape(-1)[:n_steps]
 
 
-@jit
-def step_geometric_jump(u, s):
-    # One transition of the countable-state chain with rows
-    #   P(s -> j)   = 2^-j-2   for 0 <= j < s
-    #   P(s -> s)   = 2^-s-1
-    #   P(s -> s+r) = 2^-r-1   for r >= 1
-    acc = 0.0
-    for j in range(s):
-        acc += 2.0 ** (-j - 2)
-        if u < acc:
-            return j
-    acc += 2.0 ** (-s - 1)
-    if u < acc:
-        return s
-    # remaining mass 1/2 is geometric over r >= 1 with weight 2^-r
-    v = (u - acc) / (1.0 - acc)
-    if v >= 1.0:
-        v = np.nextafter(1.0, 0.0)
-    r = 1 + int(-np.log2(1.0 - v))
-    return s + r
-
-
-# the running sums of step_geometric_jump's down-jump loop, added in the same
-# order; they reach 0.5 in floating point by j = 53
+# the running sums of the down-jump probabilities 2^-j-2, j = 0, 1, ..., added
+# in order as a step-by-step walk adds them; they reach 0.5 in floating point
+# by j = 53
 _DOWN_THRESHOLDS = np.add.accumulate([2.0 ** (-j - 2) for j in range(64)])
 _NO_CAP = np.iinfo(np.int64).max
 
@@ -269,8 +232,12 @@ _NO_CAP = np.iinfo(np.int64).max
 def geometric_jump_maps(u):
     """Each uniform's step of the geometric jump chain as s -> min(a, s + b).
 
-    In ``step_geometric_jump`` the stay threshold is 0.5 at every s and the
-    down-jump thresholds do not depend on s.  So u < 0.5 moves s to
+    The chain's rows are P(s -> j) = 2^-j-2 for 0 <= j < s,
+    P(s -> s) = 2^-s-1 and P(s -> s + r) = 2^-r-1 for r >= 1.  A walk takes
+    the first outcome, in that order, whose running sum exceeds u; on a
+    climb, r = 1 + int(-log2(1 - v)) with v = (u - 0.5) / 0.5.  The stay
+    threshold is 0.5 at every s and the down-jump thresholds do not depend
+    on s.  So u < 0.5 moves s to
     min(J(u), s), J(u) being the first down-jump threshold above u, and
     u >= 0.5 climbs by the geometric r of u at every s.  Returns the caps a
     (int64, no cap on a climb) and the climbs b.
@@ -308,66 +275,77 @@ def sample_geometric_jump(rng, n_steps, burn_in, s0):
     return a[burn_in:]
 
 
-@jit
 def sample_perturbed_jump(rng, n_steps, burn_in, s0, sched_prev, sched_cur):
-    # Order-2 variant: when (prev, cur) equals a scheduled pair
-    # (sched_prev[h], sched_cur[h]) the successor probabilities of states
-    # cur and cur+1 are interchanged; realised by swapping the drawn value.
-    out = np.empty(n_steps, dtype=np.int64)
-    prev = s0
-    cur = s0
-    total = burn_in + n_steps
-    for i in range(total):
-        nxt = step_geometric_jump(rng.random(), cur)
-        for h in range(len(sched_prev)):
-            if prev == sched_prev[h] and cur == sched_cur[h]:
-                if nxt == cur:
-                    nxt = cur + 1
-                elif nxt == cur + 1:
-                    nxt = cur
-                break
-        prev = cur
-        cur = nxt
-        if i >= burn_in:
-            out[i - burn_in] = cur
-    return out
+    """States after each of ``n_steps`` steps that follow ``burn_in`` steps
+    from ``s0`` of the order-2 perturbed jump chain.
+
+    When (previous, current) state equals a scheduled pair
+    (sched_prev[h], sched_cur[h]), the successor probabilities of the
+    current state c and c + 1 are interchanged, realised by swapping a drawn
+    successor c with c + 1 and c + 1 with c.  The swap depends on the
+    previous state, so the steps do not compose as maps; each is taken in
+    turn from its geometric jump map.
+    """
+    a, b = geometric_jump_maps(rng.random(burn_in + n_steps))
+    pairs = set(zip(sched_prev.tolist(), sched_cur.tolist()))
+    states = []
+    prev = cur = s0
+    for cap, climb in zip(a.tolist(), b.tolist()):
+        nxt = cur + climb
+        if cap < nxt:
+            nxt = cap
+        if (prev, cur) in pairs:
+            if nxt == cur:
+                nxt = cur + 1
+            elif nxt == cur + 1:
+                nxt = cur
+        prev, cur = cur, nxt
+        states.append(cur)
+    return np.array(states[burn_in:], dtype=np.int64)
 
 
-@jit
 def sample_ladder_chain(rng, n_steps, s0):
-    # Rows: 0 -> 1 and 1 -> 2 surely; s > 1 -> 0 or s+1 with probability 1/2.
-    out = np.empty(n_steps, dtype=np.int64)
-    s = s0
-    for i in range(n_steps):
-        if s == 0:
-            s = 1
-        elif s == 1:
-            s = 2
-        else:
-            if rng.random() < 0.5:
-                s = 0
-            else:
-                s = s + 1
-        out[i] = s
-    return out
+    """States after each of ``n_steps`` steps of the ladder chain from ``s0``.
+
+    Rows: 0 -> 1 and 1 -> 2 surely; s > 1 -> 0 or s + 1 with probability
+    1/2 each, by one uniform (u < 0.5 resets).  After the lead from s0 up to
+    2, every uniform is a flip: a reset emits 0, 1, 2, and a climb emits the
+    state before it plus one.  That state is the run's start (s0, or 2 after
+    a reset) plus the climbs since the last reset.
+    """
+    lead = np.array([1, 2][min(s0, 2) :], dtype=np.int64)
+    # every flip emits at least one state, so this many flips fill the path
+    reset = rng.random(max(n_steps - len(lead), 0)) < 0.5
+    climbs = np.cumsum(~reset)
+    climbs -= np.maximum.accumulate(np.where(reset, climbs, 0))
+    start = np.where(np.logical_or.accumulate(reset), 2, max(s0, 2))
+    widths = np.where(reset, 3, 1)
+    out = np.repeat(np.where(reset, 0, start + climbs), widths)
+    at_reset = (np.cumsum(widths) - 3)[reset]
+    out[at_reset + 1] = 1
+    out[at_reset + 2] = 2
+    return np.concatenate([lead, out])[:n_steps]
 
 
-@jit
 def sample_renewal(rng, n_total, first_one, gap_cum, geom_p):
-    # Binary sample with ones at renewal instants.  gap_cum: cumulative gap
-    # law (finite support, gaps 1..len); empty -> geometric(geom_p) gaps.
+    """Binary sample of ``n_total`` symbols with ones at renewal instants,
+    the first at ``first_one``.
+
+    One uniform per one placed gives the gap to the next one: from the
+    cumulative gap law ``gap_cum`` (gaps 1..len(gap_cum)), the first gap
+    whose cumulative probability exceeds u, the last one at the latest;
+    with ``gap_cum`` empty, a geometric(``geom_p``) gap, ``geom_p`` < 1.
+    """
     out = np.zeros(n_total, dtype=np.int64)
-    pos = first_one
-    while pos < n_total:
-        out[pos] = 1
-        u = rng.random()
-        if len(gap_cum) > 0:
-            g = 1
-            while g < len(gap_cum) and u >= gap_cum[g - 1]:
-                g += 1
-        else:
-            if u >= 1.0:
-                u = np.nextafter(1.0, 0.0)
-            g = 1 + int(np.log1p(-u) / np.log1p(-geom_p))
-        pos += g
+    # every gap is at least 1, so this many gaps carry the ones past n_total
+    u = rng.random(max(n_total - first_one, 0))
+    if len(gap_cum) > 0:
+        gaps = np.searchsorted(gap_cum[:-1], u, side="right")
+    else:
+        np.log1p(-u, out=u)
+        u /= np.log1p(-geom_p)
+        gaps = u.astype(np.int64)
+    gaps += 1
+    ones = np.cumsum(np.concatenate([[first_one], gaps]))
+    out[ones[ones < n_total]] = 1
     return out

@@ -282,9 +282,12 @@ def _kernel_tables(kernel: MarkovKernel):
             acc += p
             cum[i, col] = acc
             out_syms[i, col] = x
-            next_c = c[1:] + (x,)
-            next_ctx[i, col] = cidx[next_c] if p > 0 else 0
-        cum[i, -1] = 1.0
+            if p > 0:
+                next_ctx[i, col] = cidx[c[1:] + (x,)]
+                last = col
+        # the u above a row's sum, which may fall just short of 1, go to its
+        # last positive cell, not to a zero cell or the padding
+        cum[i, last:] = 1.0
     return contexts, cidx, cum, out_syms, next_ctx
 
 
@@ -413,10 +416,13 @@ def _generate_renewal(model: RenewalProcess, rng: np.random.Generator, n_sym: in
         gap_cum[-1] = 1.0
         return _kernels.sample_renewal(rng, n_sym, phase, gap_cum, 0.0)
     p = model.geometric_p
+    if p == 1.0:
+        # every gap is 1: the gap law {1: 1.0}, with no division by log1p(-1)
+        return _kernels.sample_renewal(rng, n_sym, 0, np.ones(1), 0.0)
     u = rng.random()
     if u >= 1.0:
         u = np.nextafter(1.0, 0.0)
-    first = int(np.log1p(-u) / np.log1p(-p)) if p < 1.0 else 0
+    first = int(np.log1p(-u) / np.log1p(-p))
     return _kernels.sample_renewal(rng, n_sym, first, np.empty(0, dtype=np.float64), p)
 
 

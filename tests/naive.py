@@ -3,12 +3,11 @@
 Everything here recomputes statistics by direct window scans over the raw
 symbol array (numpy sliding windows), deliberately sharing no code with the
 indexed fast paths.  The samplers are step-by-step walks that draw one
-uniform per step, the references for the scans in ``memlen._kernels``.
+uniform at a time, the references for the samplers in ``memlen._kernels``.
 """
 
 import numpy as np
 
-from memlen._kernels import step_geometric_jump
 from memlen.counting import CountIndex
 from memlen.forward import StoppingDecision, reconstruct_past
 from memlen.sequence import Sample
@@ -476,6 +475,27 @@ def sample_finite_chain(rng, n_steps, ctx0, next_ctx, cum, out_syms):
     return out
 
 
+def step_geometric_jump(u, s):
+    # One transition of the countable-state chain with rows
+    #   P(s -> j)   = 2^-j-2   for 0 <= j < s
+    #   P(s -> s)   = 2^-s-1
+    #   P(s -> s+r) = 2^-r-1   for r >= 1
+    acc = 0.0
+    for j in range(s):
+        acc += 2.0 ** (-j - 2)
+        if u < acc:
+            return j
+    acc += 2.0 ** (-s - 1)
+    if u < acc:
+        return s
+    # remaining mass 1/2 is geometric over r >= 1 with weight 2^-r
+    v = (u - acc) / (1.0 - acc)
+    if v >= 1.0:
+        v = np.nextafter(1.0, 0.0)
+    r = 1 + int(-np.log2(1.0 - v))
+    return s + r
+
+
 def sample_geometric_jump(rng, n_steps, burn_in, s0):
     out = np.empty(n_steps, dtype=np.int64)
     s = s0
@@ -484,4 +504,66 @@ def sample_geometric_jump(rng, n_steps, burn_in, s0):
     for i in range(n_steps):
         s = step_geometric_jump(rng.random(), s)
         out[i] = s
+    return out
+
+
+def sample_perturbed_jump(rng, n_steps, burn_in, s0, sched_prev, sched_cur):
+    # Order-2 variant: when (prev, cur) equals a scheduled pair
+    # (sched_prev[h], sched_cur[h]) the successor probabilities of states
+    # cur and cur+1 are interchanged; realised by swapping the drawn value.
+    out = np.empty(n_steps, dtype=np.int64)
+    prev = s0
+    cur = s0
+    total = burn_in + n_steps
+    for i in range(total):
+        nxt = step_geometric_jump(rng.random(), cur)
+        for h in range(len(sched_prev)):
+            if prev == sched_prev[h] and cur == sched_cur[h]:
+                if nxt == cur:
+                    nxt = cur + 1
+                elif nxt == cur + 1:
+                    nxt = cur
+                break
+        prev = cur
+        cur = nxt
+        if i >= burn_in:
+            out[i - burn_in] = cur
+    return out
+
+
+def sample_ladder_chain(rng, n_steps, s0):
+    # Rows: 0 -> 1 and 1 -> 2 surely; s > 1 -> 0 or s+1 with probability 1/2.
+    out = np.empty(n_steps, dtype=np.int64)
+    s = s0
+    for i in range(n_steps):
+        if s == 0:
+            s = 1
+        elif s == 1:
+            s = 2
+        else:
+            if rng.random() < 0.5:
+                s = 0
+            else:
+                s = s + 1
+        out[i] = s
+    return out
+
+
+def sample_renewal(rng, n_total, first_one, gap_cum, geom_p):
+    # Binary sample with ones at renewal instants.  gap_cum: cumulative gap
+    # law (finite support, gaps 1..len); empty -> geometric(geom_p) gaps.
+    out = np.zeros(n_total, dtype=np.int64)
+    pos = first_one
+    while pos < n_total:
+        out[pos] = 1
+        u = rng.random()
+        if len(gap_cum) > 0:
+            g = 1
+            while g < len(gap_cum) and u >= gap_cum[g - 1]:
+                g += 1
+        else:
+            if u >= 1.0:
+                u = np.nextafter(1.0, 0.0)
+            g = 1 + int(np.log1p(-u) / np.log1p(-geom_p))
+        pos += g
     return out

@@ -53,9 +53,9 @@ def test_sampler_streams_agree_with_python_loop():
     out_b = np.empty(200, dtype=np.int64)
     s = 0
     for i in range(50):
-        s = K.step_geometric_jump(rng_b.random(), s)
+        s = naive.step_geometric_jump(rng_b.random(), s)
     for i in range(200):
-        s = K.step_geometric_jump(rng_b.random(), s)
+        s = naive.step_geometric_jump(rng_b.random(), s)
         out_b[i] = s
     assert np.array_equal(a, out_b)
 
@@ -82,7 +82,7 @@ def test_geometric_jump_maps_match_step_at_float_boundaries():
     us = np.array([u for u in us if 0.0 <= u < 1.0])
     a, b = K.geometric_jump_maps(us)
     for s in range(71):
-        expected = [K.step_geometric_jump(float(u), s) for u in us]
+        expected = [naive.step_geometric_jump(float(u), s) for u in us]
         assert list(np.minimum(a, s + b)) == expected, s
 
 
@@ -108,14 +108,14 @@ class _Uniforms:
         self.values = values
         self.drawn = 0
 
-    def random(self, out=None):
-        k = 1 if out is None else len(out)
+    def random(self, size=None, out=None):
+        k = len(out) if out is not None else 1 if size is None else size
         values = self.values[self.drawn : self.drawn + k]
         self.drawn += k
-        if out is None:
-            return float(values[0])
-        out[:] = values
-        return out
+        if out is not None:
+            out[:] = values
+            return out
+        return float(values[0]) if size is None else np.array(values, dtype=np.float64)
 
 
 KERNEL_NAMES = ["parity", "order2", "zero-cells", "one-context"]
@@ -169,6 +169,94 @@ def test_geometric_jump_sampler_matches_step_loop(burn_in, s0):
             want = naive.sample_geometric_jump(rng_b, n, burn_in, s0)
             assert np.array_equal(got, want), (seed, n)
             assert rng_a.random() == rng_b.random()
+
+
+def test_finite_chain_sampler_never_emits_padding():
+    # rows summing to just under 1: the u above a row's sum goes to its last
+    # positive cell, not to the padding after a narrow row or to a zero cell
+    narrow = {
+        (0,): {1: 1.0},
+        (1,): {1: 0.5, 2: 0.4999999999999},
+        (2,): {0: 0.2, 1: 0.3, 2: 0.5},
+    }
+    zero_last = {**narrow, (1,): {1: 0.5, 2: 0.4999999999999, 3: 0.0}}
+    for rows in (narrow, zero_last):
+        _, cidx, cum, out_syms, next_ctx = _kernel_tables(MarkovKernel(order=1, rows=rows))
+        u = _Uniforms([0.99999999999995] * 2)
+        got = K.sample_finite_chain(u, 2, cidx[(1,)], next_ctx, cum, out_syms)
+        assert list(got) == [2, 2]
+
+
+# these samplers cut no blocks, so need no lengths around block boundaries
+WALK_LENGTHS = (1, 2, 3, 5, 17, 1000, 20_001)
+
+
+@pytest.mark.parametrize("s0", [0, 1, 2, 3, 9])
+def test_ladder_sampler_matches_step_loop(s0):
+    for seed in range(1, 6):
+        for n in WALK_LENGTHS:
+            got = K.sample_ladder_chain(np.random.default_rng(seed), n, s0)
+            want = naive.sample_ladder_chain(np.random.default_rng(seed), n, s0)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (seed, n)
+
+
+# cumulative gap law and geometric p: a table with a zero cell (no gap 2),
+# the table {1: 1.0} by which geometric_p = 1 is sampled, and geometric gaps
+RENEWAL_LAWS = {
+    "table-zero-cell": (np.array([0.2, 0.2, 0.7, 1.0]), 0.0),
+    "table-one": (np.ones(1), 0.0),
+    "geometric-0.01": (np.empty(0), 0.01),
+    "geometric-0.3": (np.empty(0), 0.3),
+}
+
+
+@pytest.mark.parametrize("law", sorted(RENEWAL_LAWS))
+def test_renewal_sampler_matches_step_loop(law):
+    gap_cum, geom_p = RENEWAL_LAWS[law]
+    for seed in range(1, 6):
+        for n in WALK_LENGTHS:
+            for first_one in (0, 3, n + 2):
+                args = (n, first_one, gap_cum, geom_p)
+                got = K.sample_renewal(np.random.default_rng(seed), *args)
+                want = naive.sample_renewal(np.random.default_rng(seed), *args)
+                assert np.array_equal(got, want), (seed, n, first_one)
+
+
+def test_ladder_and_renewal_samplers_match_step_loops_at_ties():
+    # uniforms on the thresholds and their neighbours, where a draw turns on
+    # a tie: a ladder flip resets below 0.5, and a gap is the first whose
+    # cumulative probability exceeds u
+    rng = np.random.default_rng(4)
+    gap_cum = RENEWAL_LAWS["table-zero-cell"][0]
+    edges = np.concatenate([[0.0, 0.5], gap_cum])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    edges = edges[(edges >= 0.0) & (edges < 1.0)]
+    values = rng.choice(edges, size=1000)
+    for n in WALK_LENGTHS[:-1]:
+        for s0 in (0, 3):
+            got = K.sample_ladder_chain(_Uniforms(values), n, s0)
+            want = naive.sample_ladder_chain(_Uniforms(values), n, s0)
+            assert np.array_equal(got, want), (n, s0)
+        got = K.sample_renewal(_Uniforms(values), n, 0, gap_cum, 0.0)
+        want = naive.sample_renewal(_Uniforms(values), n, 0, gap_cum, 0.0)
+        assert np.array_equal(got, want), n
+
+
+@pytest.mark.parametrize("schedule", [(), (3,), (3, 5)], ids=["no-pairs", "one-pair", "two-pairs"])
+def test_perturbed_jump_sampler_matches_step_loop(schedule):
+    sched_prev = np.array(schedule, dtype=np.int64)
+    sched_cur = np.arange(len(schedule), dtype=np.int64)
+    for seed in range(1, 6):
+        for n in WALK_LENGTHS:
+            for burn_in, s0 in ((0, 0), (37, 5)):
+                args = (n, burn_in, s0, sched_prev, sched_cur)
+                got = K.sample_perturbed_jump(np.random.default_rng(seed), *args)
+                want = naive.sample_perturbed_jump(np.random.default_rng(seed), *args)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (seed, n)
+        # on the last (longest) run the swaps take effect, and without pairs
+        # the chain is the base one
+        base = K.sample_geometric_jump(np.random.default_rng(seed), n, burn_in, s0)
+        assert np.array_equal(got, base) == (not schedule)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,12 @@ class TestRenewal:
         s = generate(RenewalProcess(gap_probs={2: 1.0}), 50, seed=5)
         ones = np.nonzero(s.symbols == 1)[0]
         assert np.all(np.diff(ones) == 2)
+
+    def test_geometric_p_one_is_all_ones_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = generate(RenewalProcess(geometric_p=1.0), 1000, seed=5)
+        assert np.all(s.symbols == 1)
 
     def test_geometric_is_iid(self):
         s = generate(RenewalProcess(geometric_p=0.3), 400_000, seed=6)

@@ -46,14 +46,13 @@ class CountIndex:
     the previous length's ends sorted by id, and the id of each: the index
     carries them only while the newest length was radix-built, and sorts
     them once from the ids when the previous length came from the table.
-    CSR positions (ends sorted by id, ascending within each id) are formed
-    for a length when first asked for: the carried ends for a radix-built
-    newest length, a stable argsort of the ids for any other.  Per (length,
-    gamma) it also keeps the frequent-block table: the at most n^gamma ids
-    occurring more than n^(1-gamma) times, each with its earliest end.  The
-    memory-word test, the frequent extensions and the maximal frequent length
-    all read that table.  Every table it returns is read-only.  Built
-    single-threaded, immutable afterwards; reads are thread-safe.
+    Nothing else in the index lists a block's ends: readers find them in the
+    id arrays.  Per (length, gamma) it also keeps the frequent-block table:
+    the at most n^gamma ids occurring more than n^(1-gamma) times, each with
+    its earliest end.  The memory-word test, the frequent extensions and the
+    maximal frequent length all read that table.  Every table it returns is
+    read-only.  Built single-threaded, immutable afterwards; reads are
+    thread-safe.
     """
 
     def __init__(self, sample: Sample):
@@ -84,7 +83,6 @@ class CountIndex:
         # length was radix-built; None after a table pass
         self._carry: tuple[np.ndarray, np.ndarray] | None = None
         self._ctx_count: dict[int, np.ndarray] = {}
-        self._csr: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._frequent: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
         self._l_max: dict[float, int] = {}
         # per-word test statistics keyed by (word length, gamma); filled by
@@ -147,29 +145,20 @@ class CountIndex:
             cnt[self.ids(1)[0]] -= 1
         return cnt
 
+    # read by perfbench/traced.py only; the forward schemes read the id arrays
     def positions_by_id(self, length: int) -> tuple[np.ndarray, np.ndarray]:
-        """CSR layout: (end positions sorted by id, ascending within each id,
-        offsets per id) over the full end range [length-1, n]."""
-        if length not in self._csr:
-            counts = self.l_count(length)
-            if length == len(self._ids) and self._carry is not None:
-                positions = self._carry[0]
-            else:
-                positions = self._sorted_ends(length)
-            offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            self._csr[length] = (_read_only(positions), _read_only(offsets))
-        return self._csr[length]
+        """CSR layout, formed anew on each call: (end positions sorted by id,
+        ascending within each id, offsets per id) over the ends [length-1, n]."""
+        counts = self.l_count(length)
+        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return self._sorted_ends(length), _read_only(offsets)
 
     def _sorted_ends(self, length: int) -> np.ndarray:
         """Ends length-1..n of a built length, sorted stably by id."""
         positions = np.argsort(self._ids[length][length - 1 :], kind="stable").astype(np.int32)
         positions += length - 1
         return _read_only(positions)
-
-    def id_positions(self, length: int, u: int) -> np.ndarray:
-        positions, offsets = self.positions_by_id(length)
-        return positions[offsets[u] : offsets[u + 1]]
 
     def word_id(self, word: Word) -> int:
         """Dense id of the word at its length, or -1 if absent."""

@@ -74,22 +74,28 @@ def occurrence_set(sample: Sample, w: Word) -> np.ndarray:
     return _kernels.occurrence_positions(sample.symbols, w.as_array(), 0, sample.n)
 
 
+def _block_ids(index: CountIndex, length: int) -> np.ndarray:
+    """Block ids of a length; the empty word is length 0's one block."""
+    return index.ids(length) if length else np.zeros(index.n + 1, dtype=np.int8)
+
+
 def _stopping_decision(
     scheme: str,
     n: int,
     epsilon: float,
-    words: Iterable[tuple[int, int, np.ndarray, bool]],
+    batches: Iterable[tuple[int, np.ndarray, int, np.ndarray, np.ndarray]],
     last_index: int,
 ) -> StoppingDecision:
     """The stopping rule both forward schemes share.
 
-    ``words`` yields the scheme's candidate memory words in enumeration
-    order, each as (enumeration index, length, occurrence ends, whether it
-    ends at n).  Their occurrence sets are accumulated until they cover the
-    share 1 - epsilon/2 of the times 0..n, and the stream is not read past the
-    word that reaches it; ``last_index`` is the coverage index when no word
-    does.  Time n is in the stopping set when some word read ends at n, and
-    the first such word gives the estimate.
+    ``batches`` yields the scheme's candidate memory words in enumeration
+    order, in runs of one length: (length, the length's block ids, the first
+    end an occurrence set keeps, the candidate ids, their enumeration
+    indices).  The occurrence sets are accumulated until they cover the share
+    1 - epsilon/2 of the times 0..n, and no word past the one that reaches it
+    is read; ``last_index`` is the coverage index when no word does.  Time n
+    is in the stopping set when some word read ends at n (its id stands at
+    n), and the first such word gives the estimate.
     """
     target = 1.0 - epsilon / 2.0
     covered = np.zeros(n + 1, dtype=bool)
@@ -97,16 +103,25 @@ def _stopping_decision(
     coverage = 0.0
     coverage_idx = last_index
     selected: Optional[tuple[int, int]] = None
-    for idx, length, pos, ends_at_n in words:
-        if selected is None and ends_at_n:
-            selected = (idx, length)
-        new = pos[~covered[pos]]
-        covered[new] = True
-        n_covered += len(new)
-        coverage = n_covered / (n + 1)
+    for length, ids, start, words, word_idx in batches:
+        kept = ids[start:]
+        taken = np.zeros(int(ids.max()) + 1, dtype=bool)
+        taken[words] = True
+        # the candidates' uncovered ends; distinct ids stand at disjoint ends,
+        # so one bincount over their ids gives every candidate's new coverage
+        new = taken[kept] & ~covered[start:]
+        gain = np.bincount(kept[new], minlength=len(taken))[words]
+        shares = (n_covered + np.cumsum(gain)) / (n + 1)
+        read = min(int(np.searchsorted(shares, target)) + 1, len(words))
+        hit = np.flatnonzero(words[:read] == ids[n])
+        if selected is None and len(hit):
+            selected = (int(word_idx[hit[0]]), length)
+        coverage = float(shares[read - 1])
         if coverage >= target:
-            coverage_idx = idx
+            coverage_idx = int(word_idx[read - 1])
             break
+        n_covered += int(gain.sum())
+        covered[start:] |= new
     in_set = selected is not None
     return StoppingDecision(
         time=n,
@@ -145,12 +160,9 @@ def decide_p(
         offset = 0
         for length, size in enumerate(sizes):
             disc = discrepancy_by_length(index, length, params.gamma)
-            for u in np.flatnonzero(disc <= thr).tolist():
-                if length == 0:
-                    yield 0, 0, np.arange(n + 1), True
-                else:
-                    pos = index.id_positions(length, u)
-                    yield offset + u, length, pos, index.ids(length)[n] == u
+            words = np.flatnonzero(disc <= thr)
+            if len(words):
+                yield length, _block_ids(index, length), max(length - 1, 0), words, offset + words
             offset += size
 
     return _stopping_decision("forward-p", n, params.epsilon, passing_words(), sum(sizes) - 1)
@@ -288,13 +300,9 @@ class ReconstructionScheme:
                         f"backward estimator returned {mem_len} "
                         f"on a depth-{rec.depth} reconstruction"
                     )
-                if mem_len == 0:
-                    yield i, 0, np.arange(n + 1), True
-                    continue
-                ids = index.ids(mem_len)
-                u = ids[i + rec.recurrence_times[mem_len - 1]]
-                pos = index.id_positions(mem_len, u)
-                yield i, mem_len, pos[pos >= mem_len], ids[n] == u
+                ids = _block_ids(index, mem_len)
+                u = ids[i + rec.recurrence_times[mem_len - 1]] if mem_len else 0
+                yield mem_len, ids, mem_len, np.array([u]), np.array([i])
 
         return _stopping_decision("forward-r", n, params.epsilon, memory_words(), anchor_count - 1)
 

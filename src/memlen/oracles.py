@@ -222,6 +222,15 @@ def exact_chain(model: ProcessModel) -> ExactChain:
     )
 
 
+def _ladder_moves(s: int) -> dict[int, Fraction]:
+    """Ladder moves: 0 -> 1, 1 -> 2, s > 1 -> {0, s+1}."""
+    if s == 0:
+        return {1: Fraction(1)}
+    if s == 1:
+        return {2: Fraction(1)}
+    return {0: Fraction(1, 2), s + 1: Fraction(1, 2)}
+
+
 def _ladder_rule_memory(model: LadderFunctionProcess, past: Word) -> OracleAnswer:
     """Structural rule for the infinite-zero-set ladder process: the suffix
     reaching back to the most recent 0,0,1 block pins the hidden state and is
@@ -241,15 +250,7 @@ def _ladder_rule_memory(model: LadderFunctionProcess, past: Word) -> OracleAnswe
     for x in letters[reset_end + 1 :]:
         nxt: dict[int, Fraction] = {}
         for s, w in posterior.items():
-            # ladder moves: 0 -> 1, 1 -> 2, s > 1 -> {0, s+1}
-            steps = (
-                {1: Fraction(1)}
-                if s == 0
-                else {2: Fraction(1)}
-                if s == 1
-                else {0: Fraction(1, 2), s + 1: Fraction(1, 2)}
-            )
-            for t, pr in steps.items():
+            for t, pr in _ladder_moves(s).items():
                 if model.observe(t) == x:
                     nxt[t] = nxt.get(t, Fraction(0)) + w * pr
         posterior = nxt
@@ -258,14 +259,7 @@ def _ladder_rule_memory(model: LadderFunctionProcess, past: Word) -> OracleAnswe
     total = sum(posterior.values())
     law: dict[int, Fraction] = {}
     for s, w in posterior.items():
-        steps = (
-            {1: Fraction(1)}
-            if s == 0
-            else {2: Fraction(1)}
-            if s == 1
-            else {0: Fraction(1, 2), s + 1: Fraction(1, 2)}
-        )
-        for t, pr in steps.items():
+        for t, pr in _ladder_moves(s).items():
             x = model.observe(t)
             law[x] = law.get(x, Fraction(0)) + w * pr / total
     return OracleAnswer(memory_length=k, law={x: p for x, p in law.items() if p != 0})

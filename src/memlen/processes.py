@@ -341,17 +341,10 @@ def generate(model: ProcessModel, n: int, seed: int, stream: int = 0) -> Sample:
     n_sym = n + 1
 
     if isinstance(model, MarkovKernel):
-        contexts, cidx, cum, out_syms, next_ctx = _kernel_tables(model)
-        pi = _context_stationary(model)
-        ctx0 = cidx[_draw_from(rng, contexts, [pi[c] for c in contexts])]
-        data = _kernels.sample_finite_chain(rng, n_sym, ctx0, next_ctx, cum, out_syms)
-        return Sample.forward(data)
+        return Sample.forward(_sample_kernel(model, rng, n_sym))
 
     if isinstance(model, HiddenFunctionModel):
-        contexts, cidx, cum, out_syms, next_ctx = _kernel_tables(model.kernel)
-        pi = _context_stationary(model.kernel)
-        ctx0 = cidx[_draw_from(rng, contexts, [pi[c] for c in contexts])]
-        hidden = _kernels.sample_finite_chain(rng, n_sym, ctx0, next_ctx, cum, out_syms)
+        hidden = _sample_kernel(model.kernel, rng, n_sym)
         fmap_states = sorted(model.observation)
         lut = np.zeros(max(fmap_states) + 1, dtype=np.int64)
         for s in fmap_states:
@@ -385,6 +378,14 @@ def generate(model: ProcessModel, n: int, seed: int, stream: int = 0) -> Sample:
         return Sample.forward(_generate_renewal(model, rng, n_sym))
 
     raise InvalidModelError(f"unknown model type {type(model).__name__}")
+
+
+def _sample_kernel(kernel: MarkovKernel, rng: np.random.Generator, n_sym: int) -> np.ndarray:
+    """Symbols emitted by the kernel's chain, started from its stationary law."""
+    contexts, cidx, cum, out_syms, next_ctx = _kernel_tables(kernel)
+    pi = _context_stationary(kernel)
+    ctx0 = cidx[_draw_from(rng, contexts, [pi[c] for c in contexts])]
+    return _kernels.sample_finite_chain(rng, n_sym, ctx0, next_ctx, cum, out_syms)
 
 
 def _draw_ladder_stationary(rng: np.random.Generator) -> int:

@@ -83,7 +83,10 @@ class Sample:
     orientation: Orientation
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.symbols, dtype=np.int64)
+        raw = np.asarray(self.symbols)
+        if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (np.trunc(raw) == raw)):
+            raise ValueError("symbols must be nonnegative integers")
+        arr = np.ascontiguousarray(raw, dtype=np.int64)
         if arr.ndim != 1 or len(arr) == 0:
             raise ValueError("a sample holds a nonempty 1-d symbol array")
         if np.any(arr < 0):
@@ -109,12 +112,12 @@ class Sample:
 
     @classmethod
     def backward(cls, symbols) -> "Sample":
-        symbols = np.asarray(symbols, dtype=np.int64)
+        symbols = np.asarray(symbols)
         return cls(symbols, origin=-(len(symbols) - 1), orientation="backward")
 
     @classmethod
     def forward(cls, symbols) -> "Sample":
-        return cls(np.asarray(symbols, dtype=np.int64), origin=0, orientation="forward")
+        return cls(symbols, origin=0, orientation="forward")
 
 
 def suffix(sample: Sample, k: int) -> Word:

@@ -289,7 +289,7 @@ def decide_p(sample, params, index):
                 pos = np.arange(0, n + 1)
                 ends_at_n = True
             else:
-                pos = index.id_positions(length, u)
+                pos = np.flatnonzero(index.ids(length) == u)
                 ends_at_n = index.ids(length)[n] == u
             if selected_idx is None and ends_at_n:
                 selected_idx, selected_len = list_index, length
@@ -335,7 +335,7 @@ def decide_r(sample, params, estimator, n, index):
         else:
             end = i + rec.recurrence_times[mem_len - 1]
             u = index.ids(mem_len)[end]
-            pos = index.id_positions(mem_len, u)
+            pos = np.flatnonzero(index.ids(mem_len) == u)
             pos = pos[pos >= mem_len]
             ends_at_n = index.ids(mem_len)[n] == u
         if coverage_idx is None:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,10 @@ from memlen import (
     occurrence_set,
     reconstruct_past,
 )
+from memlen.backward import discrepancy_by_length
 from memlen.counting import CountIndex
 from memlen.forward import ReconstructionScheme, StoppingDecision, forward_index
-from memlen.processes import generate, parity_chain
+from memlen.processes import GeometricJumpChain, generate, parity_chain
 
 import naive
 from test_acceptance import parity_structural_estimator
@@ -222,6 +225,23 @@ class TestDecideP:
         assert dec.in_stopping_set
         assert dec.memory_length == 1
 
+    def test_leaves_nothing_behind(self):
+        # with l_max and the test statistics already in the index, the
+        # stopping rule keeps nothing and needs a few bytes per symbol
+        s = generate(parity_chain(), 200_000, seed=3)
+        p = EstimatorParams()
+        idx = forward_index(s)
+        for length in range(idx.max_frequent_length(p.gamma) + 1):
+            discrepancy_by_length(idx, length, p.gamma)
+        tracemalloc.start()
+        try:
+            decide_p(s, p, index=idx)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < len(s)
+        assert peak < 16 * len(s)
+
 
 class TestDecideR:
     def test_constant_sample(self):
@@ -301,7 +321,15 @@ DECISION_CASES = {
     "alternating": lambda: np.arange(301) % 2,
     # n = 1379: out of the set for scheme P and the structural estimator
     **{f"parity-n{n}": _parity(n) for n in (1_000, 1_379, 5_000, 20_000)},
+    # a countable alphabet: lengths from 4 on built by the radix pass
+    "jump": lambda: generate(GeometricJumpChain(), 5000, 5).symbols,
+    # six symbols in 41: table at lengths 1-2, radix from 3
+    "switch": lambda: np.random.default_rng(8).integers(0, 6, size=41),
 }
+
+# (gamma, beta, epsilon): the defaults, a loose test with a high coverage
+# target, and a strict test with a low one
+DECISION_PARAMS = [(0.5, 0.24, 0.1), (0.7, 0.1, 0.05), (0.3, 0.1, 0.3)]
 
 
 class TestAgainstSeparateLoops:
@@ -318,13 +346,14 @@ class TestAgainstSeparateLoops:
     @pytest.mark.parametrize("case", sorted(DECISION_CASES))
     def test_decisions(self, case):
         s = Sample.forward(DECISION_CASES[case]())
-        p = EstimatorParams()
         idx = forward_index(s)
-        self._assert_same(decide_p(s, p, index=idx), naive.decide_p(s, p, idx))
-        for estimator in (None, parity_structural_estimator, _short_words):
-            scheme = ReconstructionScheme(s, p, estimator)
-            want = naive.decide_r(s, p, scheme.estimator, s.n, idx)
-            self._assert_same(scheme.decide(index=idx), want)
+        for gamma, beta, epsilon in DECISION_PARAMS:
+            p = EstimatorParams(gamma=gamma, beta=beta, epsilon=epsilon)
+            self._assert_same(decide_p(s, p, index=idx), naive.decide_p(s, p, idx))
+            for estimator in (None, parity_structural_estimator, _short_words):
+                scheme = ReconstructionScheme(s, p, estimator)
+                want = naive.decide_r(s, p, scheme.estimator, s.n, idx)
+                self._assert_same(scheme.decide(index=idx), want)
 
 
 class TestEstimatorCalls:

@@ -72,6 +72,14 @@ class TestSampleInvariants:
         with pytest.raises(ValueError):
             Sample.forward([-1, 0])
 
+    @pytest.mark.parametrize("build", [Sample.forward, Sample.backward])
+    def test_rejects_fractional_symbols(self, build):
+        for syms in ([0.7, 1.9, 2.5], [0.0, np.nan], [1.0, np.inf]):
+            with pytest.raises(ValueError, match="integers"):
+                build(np.array(syms))
+        # whole-number floats are symbols
+        assert build(np.array([0.0, 2.0, 1.0])).symbols.tolist() == [0, 2, 1]
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Sample.forward([])

@@ -327,8 +327,9 @@ DECISION_CASES = {
     "switch": lambda: np.random.default_rng(8).integers(0, 6, size=41),
 }
 
-# (gamma, beta, epsilon): the defaults, a loose test with a high coverage
-# target, and a strict test with a low one
+# (gamma, beta, epsilon): the defaults, then a looser test threshold with a
+# low frequency cutoff and a high coverage target, and with a high cutoff and
+# a low target
 DECISION_PARAMS = [(0.5, 0.24, 0.1), (0.7, 0.1, 0.05), (0.3, 0.1, 0.3)]
 
 

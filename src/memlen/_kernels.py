@@ -55,7 +55,9 @@ def occurrence_positions(data, word, lo, hi):
 # * the table pass codes each pair as one integer below
 #   n_symbols * n_ids(L-1); where that table fits in the sample's n + 2
 #   cells, one bincount over it gives the counts, the running count of
-#   occupied cells gives the ids, and no sort is made;
+#   occupied cells gives the ids, and no sort is made.  The codes and the
+#   end indices live in work buffers the caller keeps from one length to
+#   the next, so a length allocates only its own tables;
 # * the radix pass takes the ends sorted by their length-(L-1) block and
 #   sorts them by their length-L block with one stable bucket pass over the
 #   older symbol: the LSD radix refinement behind Manber & Myers (1993).
@@ -74,7 +76,7 @@ def narrow_int(count):
     return np.int16 if count <= 32767 else np.int32
 
 
-def table_block_ids(pad_key, prev_ids, n_prev, length):
+def table_block_ids(pad_key, prev_ids, n_prev, length, code, ends):
     """Tables of the length-``length`` blocks (length >= 1) from the ids of
     the length-(length-1) blocks, by one bincount over the table of
     (older symbol, previous id) pairs.  The table has
@@ -84,27 +86,34 @@ def table_block_ids(pad_key, prev_ids, n_prev, length):
     is the key of the symbol at j and ``pad_key[0]``, one above every symbol
     key, is the number of symbols.  ``prev_ids`` are the ids of the
     length-(length-1) blocks and ``n_prev`` their count; at length 1 they are
-    None and 1, the one empty block.
+    None and 1, the one empty block.  ``code`` (intp) and ``ends`` (int32,
+    ``ends[j] == j``) are the caller's work buffers of n + 1 cells, reused
+    from one length to the next: the pairs' codes are written into ``code``,
+    and no returned table is a view of either buffer.
 
     Returns, for the ends length-1..n: the id of each end (-1 before
     length-1), and the count and earliest end of each id (int32).
     """
     n_ends = len(pad_key) - 1
     # the block ending at e gains the symbol at e - (length - 1)
-    code = pad_key[1 : 1 + max(n_ends + 1 - length, 0)].astype(np.intp)
+    code = code[: max(n_ends + 1 - length, 0)]
+    np.copyto(code, pad_key[1 : 1 + len(code)])
     if prev_ids is not None:
         code *= n_prev
         code += prev_ids[length - 1 :]
     cells = int(pad_key[0]) * n_prev
     counts = np.bincount(code, minlength=cells)
     present = counts > 0
-    dtype = narrow_int(int(np.count_nonzero(present)))
+    n_ids = int(np.count_nonzero(present))
+    dtype = narrow_int(n_ids)
     rank = np.cumsum(present, dtype=dtype) - 1
     ids = np.full(n_ends, -1, dtype=dtype)
-    np.take(rank, code, out=ids[length - 1 :])
+    # every code is below ``cells``, so no bounds check (which would buffer
+    # the output) is needed
+    np.take(rank, code, out=ids[length - 1 :], mode="clip")
     first = np.full(cells, n_ends, dtype=np.int32)
-    np.minimum.at(first, code, np.arange(length - 1, n_ends, dtype=np.int32))
-    return ids, counts[present].astype(np.int32), first[present]
+    np.minimum.at(first, code, ends[length - 1 :])
+    return ids, np.compress(present, counts, out=np.empty(n_ids, dtype=np.int32)), first[present]
 
 
 def extend_block_ids(pad_key, prev_order, prev_trail, length):

@@ -46,6 +46,10 @@ class CountIndex:
     the previous length's ends sorted by id, and the id of each: the index
     carries them only while the newest length was radix-built, and sorts
     them once from the ids when the previous length came from the table.
+    While the newest length was table-built, the index carries instead the
+    table pass's work buffers, the pairs' codes and the end indices (12
+    bytes per end), so that each table-built length allocates only its own
+    tables; the first radix length drops them.
     Nothing else in the index lists a block's ends: readers find them in the
     id arrays.  Per (length, gamma) it also keeps the frequent-block table:
     the at most n^gamma ids occurring more than n^(1-gamma) times, each with
@@ -79,9 +83,10 @@ class CountIndex:
         self._ids: dict[int, np.ndarray] = {}
         self._l_count: dict[int, np.ndarray] = {}
         self._first: dict[int, np.ndarray] = {}
-        # sorted ends of the newest length, and the id of each, while that
-        # length was radix-built; None after a table pass
-        self._carry: tuple[np.ndarray, np.ndarray] | None = None
+        # what the newest length's pass hands to the next length, tagged by
+        # that pass: "radix", the sorted ends and the id of each; "table", the
+        # table pass's code and end buffers (n + 1 cells each)
+        self._carry: tuple[str, np.ndarray, np.ndarray] | None = None
         self._ctx_count: dict[int, np.ndarray] = {}
         self._frequent: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
         self._l_max: dict[float, int] = {}
@@ -98,19 +103,24 @@ class CountIndex:
         while have < length:
             n_prev = self.n_ids(have) if have else 1
             have += 1
-            if len(self.symbol_values) * n_prev <= len(self._pad_key):
+            kind = "table" if len(self.symbol_values) * n_prev <= len(self._pad_key) else "radix"
+            if self._carry is not None and self._carry[0] != kind:
+                self._carry = None  # the other pass's carry goes first
+            if kind == "table":
+                if self._carry is None:
+                    code = np.empty(self.n + 1, dtype=np.intp)
+                    self._carry = (kind, code, np.arange(self.n + 1, dtype=np.int32))
                 ids, counts, first = _kernels.table_block_ids(
-                    self._pad_key, self._ids.get(have - 1), n_prev, have
+                    self._pad_key, self._ids.get(have - 1), n_prev, have, *self._carry[1:]
                 )
-                self._carry = None
             else:
                 if self._carry is None:
                     ends = self._sorted_ends(have - 1)
-                    self._carry = (ends, self._ids[have - 1][ends])
+                    self._carry = (kind, ends, self._ids[have - 1][ends])
                 ids, order, trail, counts, first = _kernels.extend_block_ids(
-                    self._pad_key, *self._carry, have
+                    self._pad_key, *self._carry[1:], have
                 )
-                self._carry = (_read_only(order), trail)
+                self._carry = (kind, _read_only(order), trail)
             self._ids[have], self._l_count[have] = _read_only(ids), _read_only(counts)
             self._first[have] = first
         return self._ids[length]

@@ -89,7 +89,7 @@ class Sample:
         arr = np.ascontiguousarray(raw, dtype=np.int64)
         if arr.ndim != 1 or len(arr) == 0:
             raise ValueError("a sample holds a nonempty 1-d symbol array")
-        if np.any(arr < 0):
+        if arr.min() < 0:
             raise ValueError("symbols must be nonnegative integers")
         arr.flags.writeable = False
         object.__setattr__(self, "symbols", arr)

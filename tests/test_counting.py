@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from memlen import (
     frequent_extensions,
     generate,
     is_frequent,
+    parity_chain,
 )
 from memlen.forward import ReconstructionScheme, forward_index
 
@@ -371,6 +373,60 @@ class TestReadOnlyTables:
             assert len(table)
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0
+
+
+class TestTablePassBuffers:
+    """While its newest length is table-built, an index keeps the table
+    pass's code and end buffers and reuses them at the next table-built
+    length; no table it keeps is a view of them."""
+
+    def test_table_length_allocates_only_its_tables(self):
+        # a table-built length makes its id array (1 byte per end here) and
+        # tables of a few cells; the n-sized codes and ends are reused
+        s = generate(parity_chain(), 200_000, seed=3)
+        idx = forward_index(s)
+        idx.ids(2)
+        assert passes(idx, 7) == "T" * 7
+        for length in range(3, 8):
+            tracemalloc.start()
+            try:
+                idx.ids(length)
+                retained, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * len(s)
+            assert retained < 1.5 * len(s)
+
+    def test_buffers_stay_with_their_index(self):
+        # two indexes built length by length in turn, across the switch
+        # from the table to the radix pass and back, give the tables of a
+        # fresh index built alone and of the comparison sorts
+        samples = {name: table_samples()[name] for name in ("binary", "switch")}
+        indexes = {name: index_of(syms) for name, syms in samples.items()}
+        tops = {}
+        for name, syms in samples.items():
+            n = len(syms) - 1
+            tops[name] = n + 2 if n < 200 else index_of(syms).max_frequent_length(0.5) + 5
+        for length in range(1, max(tops.values()) + 1):
+            for name, idx in indexes.items():
+                if length <= tops[name]:
+                    idx.ids(length)
+        assert passes(indexes["switch"], tops["switch"]) == "TT" + "R" * 33 + "T" * 7
+        for name, idx in indexes.items():
+            alone = index_of(samples[name])
+            alone.ids(tops[name])
+            ref = naive.SortedTableIndex(Sample.backward(samples[name]))
+            for length in range(1, tops[name] + 1):
+                for other in (alone, ref):
+                    assert np.array_equal(idx.ids(length), other.ids(length))
+                    assert np.array_equal(idx.l_count(length), other.l_count(length))
+                    for got, want in zip(
+                        idx.frequent_blocks(length, 0.5), other.frequent_blocks(length, 0.5)
+                    ):
+                        assert np.array_equal(got, want)
+            ids = [idx.ids(length) for length in range(1, tops[name] + 1)]
+            for i, a in enumerate(ids):
+                assert not any(np.shares_memory(a, b) for b in ids[i + 1 :])
 
 
 class TestSymbolKey:

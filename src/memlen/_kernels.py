@@ -1,12 +1,12 @@
 """Hot numeric kernels, one body each.
 
-Counting over the sample (occurrence scans, dense block ids, the
-discrepancy gaps) is vectorised numpy; block ids come from one bincount per
-length where the table of (older symbol, previous id) pairs fits in n + 2
-cells, and from one stable radix pass otherwise.  The samplers draw the
-same uniforms and make the same float comparisons as a step-by-step walk:
-the finite, geometric jump, ladder and renewal chains by numpy scans, the
-perturbed jump chain by a loop over the geometric jump chain's step maps.
+Counting over the sample (occurrence scans, dense block ids) is vectorised
+numpy; block ids come from one bincount per length where the table of
+(older symbol, previous id) pairs fits in n + 2 cells, and from one stable
+radix pass otherwise.  The samplers draw the same uniforms and make the
+same float comparisons as a step-by-step walk: the finite, geometric jump,
+ladder and renewal chains by numpy scans, the perturbed jump chain by a
+loop over the geometric jump chain's step maps.
 """
 
 import math
@@ -149,29 +149,6 @@ def extend_block_ids(pad_key, prev_order, prev_trail, length):
     ids = np.full(len(pad_key) - 1, -1, dtype=dtype)
     ids[order] = trail
     return ids, order, trail, counts, order[starts[:-1]]
-
-
-# ---------------------------------------------------------------------------
-# Discrepancy gaps
-#
-# A frequent length-m block z+w+x (m = |w| + i + 1 for extension depth
-# i >= 1) contributes the gap
-#     | c(w,x)/ctx(w)  -  c(z+w,x)/ctx(z+w) |
-# to the statistic of w.  Every quantity in it is a function of the block,
-# so the gap is computed once per distinct frequent block, at its earliest
-# end, rather than once per sample position: at most n^gamma blocks per
-# length instead of n positions.  All counts are supplied as dense-id
-# lookup tables.
-# ---------------------------------------------------------------------------
-
-
-def extension_gaps(trip, ends, ctx_w, ids_w1, ids_m1, cnt_w1, cnt_m, ctx_m1):
-    """Gap of each frequent block with id ``trip`` ending at ``ends``;
-    ``ctx_w`` is the context count of each block's word part (or one count
-    shared by all)."""
-    p_w = cnt_w1[ids_w1[ends]] / ctx_w
-    p_zw = cnt_m[trip] / ctx_m1[ids_m1[ends - 1]]
-    return np.abs(p_w - p_zw)
 
 
 # ---------------------------------------------------------------------------

@@ -2,18 +2,20 @@
 
 The test statistic for a word w is the largest gap between the empirical
 conditional law given w and the law given any frequent extension of w deeper
-into the past.  A word passes when the statistic is at most n^(-beta); the
-backward memory-length estimate is the shortest sample suffix that passes.
+into the past.  One level loop computes every gap; the statistic of every
+word of a length is folded from it once and memoized on the index, and the
+per-word test reads its word's entry.  A word passes when the statistic is
+at most n^(-beta); the backward memory-length estimate is the shortest
+sample suffix that passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
-from . import _kernels
 from .counting import CountIndex
 from .sequence import EstimatorParams, Word
 
@@ -26,6 +28,43 @@ class TestVerdict:
     witness: Optional[tuple[Word, int]] = None
 
 
+def _extension_levels(
+    index: CountIndex, k: int, gamma: float
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """The frequent extensions of the length-k words, one depth at a time.
+
+    A frequent length-m block z+w+x (m = k + i + 1 for extension depth
+    i >= 1) contributes the gap
+        | c(w,x)/ctx(w)  -  c(z+w,x)/ctx(z+w) |
+    to the statistic of its middle word w.  Every quantity in it is a
+    function of the block, so the gap is computed once per distinct frequent
+    block, at its earliest end, rather than once per sample position: at
+    most n^gamma blocks per length instead of n positions.
+
+    Yields, for m = k+2..l_max: m, the id of each frequent length-m block's
+    middle word (0 for the empty word), the blocks' earliest ends in
+    increasing order and their gaps.
+    """
+    l_max = index.max_frequent_length(gamma)
+    # l_max <= n + 1, so every length below fits in the sample
+    if k + 2 > l_max:
+        return
+    ids_w1 = index.ids(k + 1)
+    cnt_w1 = index.successor_count(k + 1)
+    for m in range(k + 2, l_max + 1):
+        blocks, ends = index.frequent_blocks(m, gamma)
+        if k:
+            mid = index.ids(k)[ends - 1]
+            ctx_w = index.ctx_count(k)[mid]
+        else:
+            mid = np.zeros(len(ends), dtype=np.intp)
+            ctx_w = index.n
+        assert np.all(ctx_w > 0), "frequent extension of a context that never occurs"
+        p_w = cnt_w1[ids_w1[ends]] / ctx_w
+        p_zw = index.l_count(m)[blocks] / index.ctx_count(m - 1)[index.ids(m - 1)[ends - 1]]
+        yield m, mid, ends, np.abs(p_w - p_zw)
+
+
 def discrepancy_by_length(index: CountIndex, word_length: int, gamma: float) -> np.ndarray:
     """Test statistic for every observed word of the given length at once.
 
@@ -33,36 +72,12 @@ def discrepancy_by_length(index: CountIndex, word_length: int, gamma: float) -> 
     frequent extension score 0 by convention.
     """
     key = (word_length, gamma)
-    if key in index.discrepancy_memo:
-        return index.discrepancy_memo[key]
-
-    out = np.zeros(index.n_ids(word_length) if word_length >= 1 else 1, dtype=np.float64)
-    l_max = index.max_frequent_length(gamma)
-    # l_max <= n + 1, so every length below fits in the sample
-    if word_length + 2 <= l_max:
-        ids_w1 = index.ids(word_length + 1)
-        cnt_w1 = index.successor_count(word_length + 1)
-        for m in range(word_length + 2, l_max + 1):
-            trip, ends = index.frequent_blocks(m, gamma)
-            if word_length >= 1:
-                u = index.ids(word_length)[ends - 1]
-                ctx_w = index.ctx_count(word_length)[u]
-            else:
-                u = np.zeros(len(ends), dtype=np.intp)
-                ctx_w = index.n
-            gaps = _kernels.extension_gaps(
-                trip,
-                ends,
-                ctx_w,
-                ids_w1,
-                index.ids(m - 1),
-                cnt_w1,
-                index.l_count(m),
-                index.ctx_count(m - 1),
-            )
-            np.maximum.at(out, u, gaps)
-    index.discrepancy_memo[key] = out
-    return out
+    if key not in index.discrepancy_memo:
+        out = np.zeros(index.n_ids(word_length) if word_length >= 1 else 1, dtype=np.float64)
+        for _, mid, _, gaps in _extension_levels(index, word_length, gamma):
+            np.maximum.at(out, mid, gaps)
+        index.discrepancy_memo[key] = out
+    return index.discrepancy_memo[key]
 
 
 def max_discrepancy(
@@ -70,48 +85,24 @@ def max_discrepancy(
 ) -> tuple[float, Optional[tuple[Word, int]]]:
     """Statistic for one word, with the extension achieving the maximum.
 
-    Reads the frequent blocks z+w+x level by level (extension depth
-    i = 1, 2, ...) and stops as soon as a level has none: a block occurs at
-    most as often as its suffix, so deeper levels are empty too.  The
-    witness is the earliest-ending block of the first level that reaches the
-    maximum.
+    The statistic is the word's entry of ``discrepancy_by_length``.  The
+    witness is the earliest-ending block of the first extension depth that
+    reaches it; an unobserved word, or one whose statistic is 0, has none.
     """
     k = len(w)
-    n = index.n
-    best = 0.0
-    witness: Optional[tuple[Word, int]] = None
-    if k >= 1:
-        u = index.word_id(w)
-        if u < 0:
-            return 0.0, None
-        denom_w = index.ctx_count(k)[u]
-    else:
-        denom_w = n
-    data = index.data
-    for m in range(k + 2, index.max_frequent_length(gamma) + 1):
-        trip, ends = index.frequent_blocks(m, gamma)
-        if k >= 1:
-            keep = index.ids(k)[ends - 1] == u
-            trip, ends = trip[keep], ends[keep]
-        if not len(ends):
-            break
-        assert denom_w > 0, "frequent extension of a context that never occurs"
-        gaps = _kernels.extension_gaps(
-            trip,
-            ends,
-            denom_w,
-            index.ids(k + 1),
-            index.ids(m - 1),
-            index.successor_count(k + 1),
-            index.l_count(m),
-            index.ctx_count(m - 1),
-        )
-        top = int(np.argmax(gaps))
-        if gaps[top] > best:
-            best = gaps[top]
-            e = int(ends[top])
-            witness = (Word(tuple(int(s) for s in data[e - m + 1 : e - k])), int(data[e]))
-    return best, witness
+    u = index.word_id(w) if k else 0
+    if u < 0:
+        return 0.0, None
+    best = discrepancy_by_length(index, k, gamma)[u]
+    if best == 0:
+        return 0.0, None
+    for m, mid, ends, gaps in _extension_levels(index, k, gamma):
+        hit = np.flatnonzero((mid == u) & (gaps == best))
+        if len(hit):
+            e = int(ends[hit[0]])
+            z = Word(tuple(int(s) for s in index.data[e - m + 1 : e - k]))
+            return best, (z, int(index.data[e]))
+    raise AssertionError("a positive statistic without a block reaching it")
 
 
 def memory_word_test(index: CountIndex, w: Word, params: EstimatorParams) -> TestVerdict:
@@ -143,12 +134,6 @@ def backward_memory_estimate(index: CountIndex, params: EstimatorParams) -> int:
     n = index.n
     thr = params.test_threshold(n)
     for k in range(0, n):
-        disc_all = discrepancy_by_length(index, k, params.gamma)
-        if k == 0:
-            disc = disc_all[0]
-        else:
-            u = index.ids(k)[n]
-            disc = disc_all[u]
-        if disc <= thr:
+        if discrepancy_by_length(index, k, params.gamma)[index.ids(k)[n] if k else 0] <= thr:
             return k
     return n

@@ -19,9 +19,8 @@ import numpy as np
 
 from .backward import backward_memory_estimate
 from .condprob import cond_prob_markov, estimate_successor_law
-from .counting import CountIndex
 from .errors import InvalidModelError, MemlenError
-from .forward import ReconstructionScheme, decide_p
+from .forward import ReconstructionScheme, decide_p, forward_index
 from .oracles import oracle_cond, oracle_memory
 from .processes import RNG_ID, generate, load_model, model_to_spec
 from .sequence import (
@@ -30,6 +29,7 @@ from .sequence import (
     Sample,
     Word,
     read_sample,
+    suffix,
     write_sample,
 )
 
@@ -145,7 +145,7 @@ def _estimate_one_replica(model, sample: Sample, params, scheme: str, checkpoint
         oracle = _oracle_memory_windowed(model, prefix.symbols)
         t0 = time.perf_counter()
         if scheme == "backward":
-            index = CountIndex(Sample.backward(prefix.symbols))
+            index = forward_index(prefix)
             in_set, estimate, theta, kappa = 1, backward_memory_estimate(index, params), "", ""
         else:
             dec = decide_p(prefix, params) if scheme == "forward-p" else recon.decide(n)
@@ -171,8 +171,9 @@ def _condprob_rows(model, prefix: Sample, params, scheme: str):
     n = prefix.n
     law = None
     if model is not None:
+        tail = suffix(prefix, min(64, len(prefix)))
         try:
-            law = {x: float(p) for x, p in oracle_cond(model, _tail_word(prefix)).items()}
+            law = {x: float(p) for x, p in oracle_cond(model, tail).items()}
         except MemlenError:
             law = None
     t0 = time.perf_counter()
@@ -199,11 +200,6 @@ def _condprob_rows(model, prefix: Sample, params, scheme: str):
             oracle, match = "", ""
         rows.append([n, in_set, x, f"{est.qhat:.6f}", oracle, match, theta, kappa, ms])
     return rows
-
-
-def _tail_word(prefix: Sample, width: int = 64) -> Word:
-    data = prefix.symbols
-    return Word(tuple(int(s) for s in data[-min(width, len(data)) :]))
 
 
 def _read_input(path: str, fmt: str, checkpoints) -> Sample:

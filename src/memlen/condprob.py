@@ -173,7 +173,6 @@ def estimate_markov_order(
     if index is None:
         index = forward_index(sample)
     thr = params.test_threshold(n)
-    cutoff = params.frequency_cutoff(n)
     l_max = index.max_frequent_length(params.gamma)
     for k in range(0, l_max + 2):
         if k == 0:
@@ -183,8 +182,7 @@ def estimate_markov_order(
         if k - 1 > n:
             break
         disc = discrepancy_by_length(index, k, params.gamma)
-        frequent = index.l_count(k) > cutoff
-        if np.all(disc[frequent] <= thr):
+        if np.all(disc[index.frequent_blocks(k, params.gamma)[0]] <= thr):
             return k
     return n
 

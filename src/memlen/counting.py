@@ -233,9 +233,8 @@ def count_transition(index: CountIndex, w: Word, x: int) -> int:
     """Occurrences of ``w`` followed by symbol ``x``; sums over x to
     count_context.
 
-    For nonempty words this is exactly the frequent-set count of the string
-    w+x (the two ranges coincide); the empty context must additionally drop
-    the first sample cell, which is nobody's successor.
+    This is the successor count of the string w+x: its frequent-set count,
+    less the first sample cell (nobody's successor) for the empty context.
     """
     k = len(w)
     if k + 1 > index.n + 1:
@@ -243,10 +242,7 @@ def count_transition(index: CountIndex, w: Word, x: int) -> int:
     u = index.word_id(w.extended_by(x))
     if u < 0:
         return 0
-    cnt = int(index.l_count(k + 1)[u])
-    if k == 0 and index.data[0] == x:
-        cnt -= 1
-    return cnt
+    return int(index.successor_count(k + 1)[u])
 
 
 def empirical_cond_prob(index: CountIndex, w: Word, x: int) -> float:

@@ -281,8 +281,8 @@ class ReconstructionScheme:
     def decide(self, n: int | None = None, index: CountIndex | None = None) -> StoppingDecision:
         if n is None:
             n = self.sample.n
-        if n > self.sample.n:
-            raise OutOfRangeError(f"decision time {n} beyond sample end {self.sample.n}")
+        if not 0 <= n <= self.sample.n:
+            raise OutOfRangeError(f"decision time {n} outside 0..{self.sample.n}")
         params = self.params
         data = self.sample.symbols
         if index is None:

@@ -56,12 +56,16 @@ class TestDiscrepancy:
     def test_bulk_path_matches_per_word(self, seed):
         rng = np.random.default_rng(100 + seed)
         syms = rng.integers(0, 3, size=200)
-        idx = index_of(syms)
+        idx, ref = index_of(syms), index_of(syms)
         for length in range(0, idx.max_frequent_length(0.5) + 1):
             bulk = discrepancy_by_length(idx, length, 0.5)
             for u in range(idx.n_ids(length) if length else 1):
                 w = idx.decode(length, u) if length else Word(())
-                assert bulk[u] == max_discrepancy(idx, w, 0.5)[0]
+                d, witness = max_discrepancy(idx, w, 0.5)
+                if witness is not None:
+                    witness = (witness[0].letters, witness[1])
+                assert d == bulk[u]
+                assert (d, witness) == naive.max_discrepancy(ref, list(w.letters), 0.5)
 
 
 def reference_samples():

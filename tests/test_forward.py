@@ -296,6 +296,13 @@ class TestDecideR:
         with pytest.raises(OutOfRangeError):
             scheme.decide(100)
 
+    @pytest.mark.parametrize("n", (-1, -2))
+    def test_negative_time_rejected(self, n):
+        s = Sample.forward([0, 1] * 10)
+        scheme = ReconstructionScheme(s, EstimatorParams())
+        with pytest.raises(OutOfRangeError):
+            scheme.decide(n)
+
 
 def _short_words(arr):  # short words: several anchors to reach coverage
     return min(len(arr), 3)

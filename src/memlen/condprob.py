@@ -169,6 +169,8 @@ def estimate_markov_order(
     context eventually fails, at the true order all pass.  Stands in for any
     almost-surely convergent order estimator.
     """
+    if sample.orientation != "forward":
+        raise ValueError("order estimation reads a forward sample")
     n = sample.n
     if index is None:
         index = forward_index(sample)

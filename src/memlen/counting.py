@@ -50,13 +50,15 @@ class CountIndex:
     table pass's work buffers, the pairs' codes and the end indices (12
     bytes per end), so that each table-built length allocates only its own
     tables; the first radix length drops them.
-    Nothing else in the index lists a block's ends: readers find them in the
-    id arrays.  Per (length, gamma) it also keeps the frequent-block table:
-    the at most n^gamma ids occurring more than n^(1-gamma) times, each with
-    its earliest end.  The memory-word test, the frequent extensions and the
-    maximal frequent length all read that table.  Every table it returns is
-    read-only.  Built single-threaded, immutable afterwards; reads are
-    thread-safe.
+    Nothing else in the index lists a block's ends.  The earliest end of an
+    id stands for its block: ``decode`` reads the block there, and the
+    forward stopping rule reads there the block's suffix at every shorter
+    length.  Per (length, gamma) the index also keeps the frequent-block
+    table: the at most n^gamma ids occurring more than n^(1-gamma) times,
+    each with its earliest end.  The memory-word test, the frequent
+    extensions and the maximal frequent length all read that table.  Every
+    table it returns is read-only.  Built single-threaded, immutable
+    afterwards; reads are thread-safe.
     """
 
     def __init__(self, sample: Sample):
@@ -122,7 +124,7 @@ class CountIndex:
                 )
                 self._carry = (kind, _read_only(order), trail)
             self._ids[have], self._l_count[have] = _read_only(ids), _read_only(counts)
-            self._first[have] = first
+            self._first[have] = _read_only(first)
         return self._ids[length]
 
     def n_ids(self, length: int) -> int:
@@ -132,6 +134,11 @@ class CountIndex:
         """Occurrence count per id over end positions [length-1, n]."""
         self.ids(length)
         return self._l_count[length]
+
+    def first_ends(self, length: int) -> np.ndarray:
+        """Earliest end of every id."""
+        self.ids(length)
+        return self._first[length]
 
     def ctx_count(self, length: int) -> np.ndarray:
         """Occurrence count per id over end positions [length-1, n-1]."""
@@ -182,8 +189,7 @@ class CountIndex:
 
     def decode(self, length: int, u: int) -> Word:
         """The word carried by dense id ``u`` at the given length."""
-        self.ids(length)
-        j = int(self._first[length][u])
+        j = int(self.first_ends(length)[u])
         return Word(tuple(int(s) for s in self.data[j - length + 1 : j + 1]))
 
     def frequent_blocks(self, length: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -194,7 +200,7 @@ class CountIndex:
         if key not in self._frequent:
             cnt = self.l_count(length)
             ids = np.flatnonzero(cnt > float(self.n) ** (1.0 - gamma))
-            ends = self._first[length][ids]
+            ends = self.first_ends(length)[ids]
             by_end = np.argsort(ends)
             self._frequent[key] = (_read_only(ids[by_end]), _read_only(ends[by_end]))
         return self._frequent[key]

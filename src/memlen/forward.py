@@ -13,6 +13,9 @@ stopping set of guaranteed lower density 1 - epsilon:
 Both feed their candidate words (scheme P's passing words, scheme R's
 reconstructed memory words) in order to one stopping rule, which accumulates
 their occurrence sets until the target coverage 1 - epsilon/2 is reached.
+The rule counts coverage per word from the count index's per-id counts and
+earliest ends, never per time: what a word adds depends only on the words
+read before it that are its suffixes or extend it.
 """
 
 from __future__ import annotations
@@ -74,54 +77,91 @@ def occurrence_set(sample: Sample, w: Word) -> np.ndarray:
     return _kernels.occurrence_positions(sample.symbols, w.as_array(), 0, sample.n)
 
 
-def _block_ids(index: CountIndex, length: int) -> np.ndarray:
-    """Block ids of a length; the empty word is length 0's one block."""
-    return index.ids(length) if length else np.zeros(index.n + 1, dtype=np.int8)
+def _suffixes(index: CountIndex, length: int, ends: np.ndarray) -> np.ndarray:
+    """Ids of the length-``length`` suffixes of the blocks ending at
+    ``ends``; the empty word is length 0's one block."""
+    return index.ids(length)[ends] if length else np.zeros(len(ends), dtype=np.int8)
+
+
+def _lookup(keys: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of ``x`` stands in the ascending ``keys``, and whether it
+    is there."""
+    at = np.minimum(np.searchsorted(keys, x), len(keys) - 1)
+    return at, keys[at] == x
 
 
 def _stopping_decision(
     scheme: str,
     n: int,
     epsilon: float,
-    batches: Iterable[tuple[int, np.ndarray, int, np.ndarray, np.ndarray]],
+    index: CountIndex,
+    batches: Iterable[tuple[int, int, np.ndarray, np.ndarray]],
     last_index: int,
 ) -> StoppingDecision:
     """The stopping rule both forward schemes share.
 
     ``batches`` yields the scheme's candidate memory words in enumeration
-    order, in runs of one length: (length, the length's block ids, the first
-    end an occurrence set keeps, the candidate ids, their enumeration
-    indices).  The occurrence sets are accumulated until they cover the share
-    1 - epsilon/2 of the times 0..n, and no word past the one that reaches it
-    is read; ``last_index`` is the coverage index when no word does.  Time n
-    is in the stopping set when some word read ends at n (its id stands at
-    n), and the first such word gives the estimate.
+    order, in runs of one length: (length, the first end an occurrence set
+    keeps, the candidate ids in ascending order, their enumeration indices).
+    A set keeps the ends from length - 1 (scheme P) or from length (scheme
+    R), and the empty word's set every end.  The occurrence sets are
+    accumulated until they cover the share 1 - epsilon/2 of the times 0..n,
+    and no word past the one that reaches it is read; ``last_index`` is the
+    coverage index when no word does.  Time n is in the stopping set when
+    some word read ends at n (its id stands at n), and the first such word
+    gives the estimate.
+
+    Coverage is kept per id, not per end.  A word covers an end exactly when
+    it is the suffix of the block ending there, so a candidate u shares ends
+    with two kinds of word read before it only: a suffix of u (u itself
+    included), which covers every end of u, and a word extending u, whose
+    ends are ends of u.  So u gains nothing when a suffix of it was read,
+    and otherwise gains its ends less what the words extending it gained.
+    The rule keeps the ids read at each length and the gain of each, and
+    reads a word's suffixes at its earliest end: no array per end is made.
+    Scheme P reads its lengths in order, so no word it has read extends a
+    candidate; a word scheme R reads again is its own suffix and gains
+    nothing.
     """
     target = 1.0 - epsilon / 2.0
-    covered = np.zeros(n + 1, dtype=bool)
+    read: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     n_covered = 0
     coverage = 0.0
     coverage_idx = last_index
     selected: Optional[tuple[int, int]] = None
-    for length, ids, start, words, word_idx in batches:
-        kept = ids[start:]
-        taken = np.zeros(int(ids.max()) + 1, dtype=bool)
-        taken[words] = True
-        # the candidates' uncovered ends; distinct ids stand at disjoint ends,
-        # so one bincount over their ids gives every candidate's new coverage
-        new = taken[kept] & ~covered[start:]
-        gain = np.bincount(kept[new], minlength=len(taken))[words]
+    for length, start, words, word_idx in batches:
+        if length:
+            # the ends length-1..n, less length-1 when the set starts at length
+            gain = index.l_count(length)[words].astype(np.int64)
+            if start == length:
+                gain -= words == index.ids(length)[length - 1]
+        else:
+            gain = np.full(len(words), n + 1, dtype=np.int64)
+        first = index.first_ends(length)[words] if length else np.zeros_like(words)
+        shadowed = np.zeros(len(words), dtype=bool)
+        for other, (ids, gains) in read.items():
+            if other <= length:  # a suffix of the candidate was read
+                shadowed |= _lookup(ids, _suffixes(index, other, first))[1]
+            else:  # the ends already covered by the words extending it
+                suffixes = _suffixes(index, length, index.first_ends(other)[ids])
+                at, extends = _lookup(words, suffixes)
+                np.subtract.at(gain, at[extends], gains[extends])
+        gain[shadowed] = 0
         shares = (n_covered + np.cumsum(gain)) / (n + 1)
-        read = min(int(np.searchsorted(shares, target)) + 1, len(words))
-        hit = np.flatnonzero(words[:read] == ids[n])
+        count = min(int(np.searchsorted(shares, target)) + 1, len(words))
+        hit = np.flatnonzero(words[:count] == (index.ids(length)[n] if length else 0))
         if selected is None and len(hit):
             selected = (int(word_idx[hit[0]]), length)
-        coverage = float(shares[read - 1])
+        coverage = float(shares[count - 1])
         if coverage >= target:
-            coverage_idx = int(word_idx[read - 1])
+            coverage_idx = int(word_idx[count - 1])
             break
         n_covered += int(gain.sum())
-        covered[start:] |= new
+        if length in read:
+            words, gain = (np.concatenate(pair) for pair in zip(read[length], (words, gain)))
+            order = np.argsort(words, kind="stable")
+            words, gain = words[order], gain[order]
+        read[length] = (words, gain)
     in_set = selected is not None
     return StoppingDecision(
         time=n,
@@ -146,6 +186,8 @@ def decide_p(
     length; when the coverage target is unreachable within the cap the
     decision is taken with the capped union.
     """
+    if sample.orientation != "forward":
+        raise ValueError("scheme P reads a forward sample")
     n = sample.n
     if index is None:
         index = forward_index(sample)
@@ -162,10 +204,12 @@ def decide_p(
             disc = discrepancy_by_length(index, length, params.gamma)
             words = np.flatnonzero(disc <= thr)
             if len(words):
-                yield length, _block_ids(index, length), max(length - 1, 0), words, offset + words
+                yield length, max(length - 1, 0), words, offset + words
             offset += size
 
-    return _stopping_decision("forward-p", n, params.epsilon, passing_words(), sum(sizes) - 1)
+    return _stopping_decision(
+        "forward-p", n, params.epsilon, index, passing_words(), sum(sizes) - 1
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +344,12 @@ class ReconstructionScheme:
                         f"backward estimator returned {mem_len} "
                         f"on a depth-{rec.depth} reconstruction"
                     )
-                ids = _block_ids(index, mem_len)
-                u = ids[i + rec.recurrence_times[mem_len - 1]] if mem_len else 0
-                yield mem_len, ids, mem_len, np.array([u]), np.array([i])
+                u = index.ids(mem_len)[i + rec.recurrence_times[mem_len - 1]] if mem_len else 0
+                yield mem_len, mem_len, np.array([u]), np.array([i])
 
-        return _stopping_decision("forward-r", n, params.epsilon, memory_words(), anchor_count - 1)
+        return _stopping_decision(
+            "forward-r", n, params.epsilon, index, memory_words(), anchor_count - 1
+        )
 
 
 def decide_r(

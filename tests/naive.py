@@ -379,7 +379,7 @@ def finite_alphabet_memory_estimate(index, params, order):
 # Per-length tables by comparison sorts, the way the index built them before
 # its radix pass: ids from np.unique over (first symbol, trailing id) pairs,
 # counts by bincount, the CSR order from a stable argsort of the ids and
-# each frequent block's earliest end from np.minimum.at.
+# each block's earliest end from np.minimum.at.
 # ---------------------------------------------------------------------------
 
 
@@ -427,6 +427,12 @@ class SortedTableIndex(CountIndex):
                 valid, minlength=self.n_ids(length)
             ).astype(np.int64)
         return self._sorted_count[length]
+
+    def first_ends(self, length):
+        valid = self.ids(length)[length - 1 :]
+        first = np.full(self.n_ids(length), len(valid), dtype=np.int64)
+        np.minimum.at(first, valid, np.arange(len(valid)))
+        return first + (length - 1)
 
     def positions_by_id(self, length):
         if length not in self._sorted_csr:

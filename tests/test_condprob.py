@@ -163,6 +163,13 @@ class TestMarkovOrder:
         s = generate(order2_kernel, 20_000, seed=2)
         assert estimate_markov_order(s, self.SEP) == 2
 
+    def test_backward_sample_rejected(self):
+        # as cond_prob_markov, which reads the order, always refused it
+        s = Sample.backward(np.arange(301) % 2)
+        for estimate in (estimate_markov_order, cond_prob_markov):
+            with pytest.raises(ValueError, match="reads a forward sample"):
+                estimate(s, EstimatorParams())
+
 
 class TestCondProbMarkov:
     def test_order_one_rows_recovered(self):

@@ -325,6 +325,32 @@ class TestAgainstSortedTables:
             CountIndex(huge)
 
 
+class TestFirstEnds:
+    """The earliest end of every id, which the forward stopping rule reads
+    in place of the id arrays, is the one ``np.minimum.at`` finds over the
+    sorted ids, at every length the sorted-table comparison reads; the
+    index hands it out read-only."""
+
+    @staticmethod
+    def assert_same_first_ends(syms):
+        idx = index_of(syms)
+        ref = naive.SortedTableIndex(Sample.backward(syms))
+        n = len(syms) - 1
+        top = n + 3 if n < 200 else ref.max_frequent_length(0.5) + 1
+        for length in range(1, top + 1):
+            first = idx.first_ends(length)
+            assert np.array_equal(first, ref.first_ends(length))
+            assert not first.flags.writeable
+
+    @pytest.mark.parametrize("name", sorted(table_samples()))
+    def test_samples(self, name):
+        self.assert_same_first_ends(table_samples()[name])
+
+    @pytest.mark.parametrize("n_symbols", sorted(WIDE_ALPHABETS))
+    def test_wide_alphabets(self, n_symbols):
+        self.assert_same_first_ends(wide_alphabet_sample(n_symbols))
+
+
 class TestCallOrder:
     """Only a radix-built newest length carries its sorted ends, so every
     table must come out the same whichever lengths were built or asked for
@@ -356,6 +382,7 @@ class TestCallOrder:
         for length in range(1, top + 2):
             assert np.array_equal(idx.ids(length), ref.ids(length))
             assert np.array_equal(idx.l_count(length), ref.l_count(length))
+            assert np.array_equal(idx.first_ends(length), ref.first_ends(length))
             self.assert_same(idx.positions_by_id(length), ref.positions_by_id(length))
             self.assert_same(idx.frequent_blocks(length, 0.5), ref.frequent_blocks(length, 0.5))
 

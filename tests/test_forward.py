@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -242,6 +243,28 @@ class TestDecideP:
         assert retained < len(s)
         assert peak < 16 * len(s)
 
+    def test_allocates_no_per_end_array(self):
+        # coverage is counted per word: on a warm index the rule's
+        # temporaries are tables of candidate and read words, whatever n is
+        s = generate(parity_chain(), 200_000, seed=3)
+        p = EstimatorParams()
+        idx = forward_index(s)
+        for length in range(idx.max_frequent_length(p.gamma) + 1):
+            discrepancy_by_length(idx, length, p.gamma)
+        tracemalloc.start()
+        try:
+            decide_p(s, p, index=idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_backward_sample_rejected(self):
+        s = Sample.backward(np.arange(301) % 2)
+        for decide in (decide_p, decide_r):
+            with pytest.raises(ValueError, match="reads a forward sample"):
+                decide(s, EstimatorParams())
+
 
 class TestDecideR:
     def test_constant_sample(self):
@@ -362,6 +385,30 @@ class TestAgainstSeparateLoops:
                 scheme = ReconstructionScheme(s, p, estimator)
                 want = naive.decide_r(s, p, scheme.estimator, s.n, idx)
                 self._assert_same(scheme.decide(index=idx), want)
+
+
+def _cycling_lengths():
+    """A backward estimator whose words run through the lengths 7, 2, 7, 9,
+    2, 0, 4 in turn, capped at the reconstruction depth: long words, the
+    shorter words they extend, words read again and the empty word mix."""
+    lengths = itertools.cycle((7, 2, 7, 9, 2, 0, 4))
+    return lambda past: min(next(lengths), len(past) - 1)
+
+
+class TestRereadAndExtension:
+    """Scheme R counts what a word adds from the words read before it: a
+    word read again adds nothing, and a word adds none of the ends the
+    longer words extending it have covered.  Its decisions are those of the
+    separate coverage loop."""
+
+    @pytest.mark.parametrize("case", sorted(DECISION_CASES))
+    def test_cycling_lengths(self, case):
+        s = Sample.forward(DECISION_CASES[case]())
+        idx = forward_index(s)
+        for gamma, beta, epsilon in DECISION_PARAMS:
+            p = EstimatorParams(gamma=gamma, beta=beta, epsilon=epsilon)
+            got = ReconstructionScheme(s, p, _cycling_lengths()).decide(index=idx)
+            assert got == naive.decide_r(s, p, _cycling_lengths(), s.n, idx)
 
 
 class TestEstimatorCalls:

@@ -86,7 +86,7 @@ def table_block_ids(pad_key, prev_ids, n_prev, length, code, ends):
     is the key of the symbol at j and ``pad_key[0]``, one above every symbol
     key, is the number of symbols.  ``prev_ids`` are the ids of the
     length-(length-1) blocks and ``n_prev`` their count; at length 1 they are
-    None and 1, the one empty block.  ``code`` (intp) and ``ends`` (int32,
+    the empty block's zeros and 1.  ``code`` (intp) and ``ends`` (int32,
     ``ends[j] == j``) are the caller's work buffers of n + 1 cells, reused
     from one length to the next: the pairs' codes are written into ``code``,
     and no returned table is a view of either buffer.
@@ -98,9 +98,8 @@ def table_block_ids(pad_key, prev_ids, n_prev, length, code, ends):
     # the block ending at e gains the symbol at e - (length - 1)
     code = code[: max(n_ends + 1 - length, 0)]
     np.copyto(code, pad_key[1 : 1 + len(code)])
-    if prev_ids is not None:
-        code *= n_prev
-        code += prev_ids[length - 1 :]
+    code *= n_prev
+    code += prev_ids[length - 1 :]
     cells = int(pad_key[0]) * n_prev
     counts = np.bincount(code, minlength=cells)
     present = counts > 0

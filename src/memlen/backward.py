@@ -42,8 +42,8 @@ def _extension_levels(
     most n^gamma blocks per length instead of n positions.
 
     Yields, for m = k+2..l_max: m, the id of each frequent length-m block's
-    middle word (0 for the empty word), the blocks' earliest ends in
-    increasing order and their gaps.
+    middle word, the blocks' earliest ends in increasing order and their
+    gaps.
     """
     l_max = index.max_frequent_length(gamma)
     # l_max <= n + 1, so every length below fits in the sample
@@ -53,12 +53,8 @@ def _extension_levels(
     cnt_w1 = index.successor_count(k + 1)
     for m in range(k + 2, l_max + 1):
         blocks, ends = index.frequent_blocks(m, gamma)
-        if k:
-            mid = index.ids(k)[ends - 1]
-            ctx_w = index.ctx_count(k)[mid]
-        else:
-            mid = np.zeros(len(ends), dtype=np.intp)
-            ctx_w = index.n
+        mid = index.ids(k)[ends - 1]
+        ctx_w = index.ctx_count(k)[mid]
         assert np.all(ctx_w > 0), "frequent extension of a context that never occurs"
         p_w = cnt_w1[ids_w1[ends]] / ctx_w
         p_zw = index.l_count(m)[blocks] / index.ctx_count(m - 1)[index.ids(m - 1)[ends - 1]]
@@ -73,7 +69,7 @@ def discrepancy_by_length(index: CountIndex, word_length: int, gamma: float) -> 
     """
     key = (word_length, gamma)
     if key not in index.discrepancy_memo:
-        out = np.zeros(index.n_ids(word_length) if word_length >= 1 else 1, dtype=np.float64)
+        out = np.zeros(index.n_ids(word_length), dtype=np.float64)
         for _, mid, _, gaps in _extension_levels(index, word_length, gamma):
             np.maximum.at(out, mid, gaps)
         index.discrepancy_memo[key] = out
@@ -90,7 +86,7 @@ def max_discrepancy(
     reaches it; an unobserved word, or one whose statistic is 0, has none.
     """
     k = len(w)
-    u = index.word_id(w) if k else 0
+    u = index.word_id(w)
     if u < 0:
         return 0.0, None
     best = discrepancy_by_length(index, k, gamma)[u]
@@ -134,6 +130,6 @@ def backward_memory_estimate(index: CountIndex, params: EstimatorParams) -> int:
     n = index.n
     thr = params.test_threshold(n)
     for k in range(0, n):
-        if discrepancy_by_length(index, k, params.gamma)[index.ids(k)[n] if k else 0] <= thr:
+        if discrepancy_by_length(index, k, params.gamma)[index.ids(k)[n]] <= thr:
             return k
     return n

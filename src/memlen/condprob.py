@@ -177,10 +177,6 @@ def estimate_markov_order(
     thr = params.test_threshold(n)
     l_max = index.max_frequent_length(params.gamma)
     for k in range(0, l_max + 2):
-        if k == 0:
-            if discrepancy_by_length(index, 0, params.gamma)[0] <= thr:
-                return 0
-            continue
         if k - 1 > n:
             break
         disc = discrepancy_by_length(index, k, params.gamma)
@@ -234,7 +230,6 @@ def iid_structure_test(
     x: int,
     center: int,
     oracle_prob: float,
-    max_count: int = 100_000,
 ) -> IidCheck:
     """Harvest the successors at the backward and forward recurrences of
     ``w`` around ``center`` (the center's own successor is the conditioning
@@ -250,8 +245,8 @@ def iid_structure_test(
     data = sample.symbols
     if k > 0 and not np.array_equal(data[center - k + 1 : center + 1], w.as_array()):
         raise OutOfRangeError("the word does not end at the given center")
-    back = backward_recurrences(sample, center, k, max_count).backward_offsets[1:]
-    fwd = forward_recurrences(sample, center, k, max_count).forward_offsets[1:]
+    back = backward_recurrences(sample, center, k, 100_000).backward_offsets[1:]
+    fwd = forward_recurrences(sample, center, k, 100_000).forward_offsets[1:]
     succ_pos = [center - t + 1 for t in back] + [
         center + t + 1 for t in fwd if center + t + 1 <= sample.n
     ]

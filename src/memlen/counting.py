@@ -5,10 +5,12 @@ array d[0..n] (array index j holds time j-n).  Two deliberate off-by-one
 conventions coexist and are pinned by tests:
 
 * conditional-probability counts range over end positions j in [k-1, n-1]
-  (time t <= -1: the successor must be visible), with the empty-word context
-  counting exactly n positions;
+  (time t <= -1: the successor must be visible);
 * frequent-set counts range over j in [m-1, n] (time t <= 0, the final
   position included).
+
+The empty word is length 0's one block: it ends at each of the n + 1
+positions 0..n, and n of them are contexts.
 
 The numerator of a conditional probability for (word, successor) equals the
 frequent-set count of the extended string word+successor, which is why a
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import MemlenError, UndefinedConditionalError
-from .sequence import EMPTY_WORD, Sample, Word
+from .sequence import Sample, Word
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -32,13 +34,16 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class CountIndex:
     """Lazy per-length block statistics over one backward sample.
 
-    For each materialized block length L the index keeps a dense id array
-    (ids assigned in lexicographic order of block content, -1 where the block
+    For each built block length L the index keeps a dense id array (ids
+    assigned in lexicographic order of block content, -1 where the block
     does not fit, in the narrowest signed type that holds the id count), the
-    occurrence count of every id and the earliest end of every id.  A
-    length-L block is an older symbol followed by a length-(L - 1) block, and
-    length L is built from length L - 1 by one of two passes, chosen by the
-    size of the table of (older symbol, length-(L - 1) id) pairs.  Where the
+    occurrence count of every id and the earliest end of every id.  Length
+    0, the empty word's one block (id 0 at every end, counted n + 1 times,
+    first ending at 0), is built with the index; the first read of a longer
+    length builds every length up to it, in order.  A length-L block is an
+    older symbol followed by a length-(L - 1) block, and length L is built
+    from length L - 1 by one of two passes, chosen by the size of the table
+    of (older symbol, length-(L - 1) id) pairs.  Where the
     table has no more cells than the padded symbol key (n + 2), one bincount
     over it ranks the pairs without a sort; length 1 always fits.  Otherwise
     one stable radix pass over the blocks' oldest symbols refines the ends
@@ -68,7 +73,6 @@ class CountIndex:
             raise MemlenError(
                 f"a sample of {sample.n + 1} symbols does not fit the count index's int32 ends"
             )
-        self.sample = sample
         self.data = sample.symbols
         self.n = sample.n
         if self.data.max() <= self.n:
@@ -82,9 +86,10 @@ class CountIndex:
         self._pad_key = np.empty(self.n + 2, dtype=_kernels.narrow_int(len(values)))
         self._pad_key[0] = len(values)
         self._pad_key[1:] = key
-        self._ids: dict[int, np.ndarray] = {}
-        self._l_count: dict[int, np.ndarray] = {}
-        self._first: dict[int, np.ndarray] = {}
+        # length 0: one id at every end, allocating nothing n-sized
+        self._ids: dict[int, np.ndarray] = {0: np.broadcast_to(np.int8(0), (self.n + 1,))}
+        self._l_count = {0: _read_only(np.array([self.n + 1], dtype=np.int32))}
+        self._first = {0: _read_only(np.zeros(1, dtype=np.int32))}
         # what the newest length's pass hands to the next length, tagged by
         # that pass: "radix", the sorted ends and the id of each; "table", the
         # table pass's code and end buffers (n + 1 cells each)
@@ -99,11 +104,13 @@ class CountIndex:
     # -- per-length tables -------------------------------------------------
 
     def ids(self, length: int) -> np.ndarray:
-        if length < 1:
-            raise ValueError("block ids are defined for length >= 1")
-        have = len(self._ids)  # lengths 1..have are built, in order
+        """Id of the length-``length`` block ending at each of 0..n, -1
+        where it does not fit; length 0 is all zeros."""
+        if length < 0:
+            raise ValueError("block ids are defined for length >= 0")
+        have = len(self._ids) - 1  # lengths 0..have are built, in order
         while have < length:
-            n_prev = self.n_ids(have) if have else 1
+            n_prev = self.n_ids(have)
             have += 1
             kind = "table" if len(self.symbol_values) * n_prev <= len(self._pad_key) else "radix"
             if self._carry is not None and self._carry[0] != kind:
@@ -113,7 +120,7 @@ class CountIndex:
                     code = np.empty(self.n + 1, dtype=np.intp)
                     self._carry = (kind, code, np.arange(self.n + 1, dtype=np.int32))
                 ids, counts, first = _kernels.table_block_ids(
-                    self._pad_key, self._ids.get(have - 1), n_prev, have, *self._carry[1:]
+                    self._pad_key, self._ids[have - 1], n_prev, have, *self._carry[1:]
                 )
             else:
                 if self._carry is None:
@@ -165,7 +172,10 @@ class CountIndex:
     # read by perfbench/traced.py only; the forward schemes read the id arrays
     def positions_by_id(self, length: int) -> tuple[np.ndarray, np.ndarray]:
         """CSR layout, formed anew on each call: (end positions sorted by id,
-        ascending within each id, offsets per id) over the ends [length-1, n]."""
+        ascending within each id, offsets per id) over the ends [length-1, n];
+        length >= 1."""
+        if length < 1:
+            raise ValueError("the CSR layout is formed for length >= 1")
         counts = self.l_count(length)
         offsets = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
@@ -178,9 +188,12 @@ class CountIndex:
         return _read_only(positions)
 
     def word_id(self, word: Word) -> int:
-        """Dense id of the word at its length, or -1 if absent."""
+        """Dense id of the word at its length, or -1 if absent; the empty
+        word is id 0."""
         k = len(word)
-        if k == 0 or k - 1 > self.n:
+        if k == 0:
+            return 0
+        if k - 1 > self.n:
             return -1
         pos = _kernels.occurrence_positions(self.data, word.as_array(), k - 1, self.n)
         if len(pos) == 0:
@@ -225,8 +238,6 @@ class CountIndex:
 def count_context(index: CountIndex, w: Word) -> int:
     """Occurrences of ``w`` at positions whose successor is visible."""
     k = len(w)
-    if k == 0:
-        return index.n
     if k > index.n:
         return 0
     u = index.word_id(w)
@@ -284,7 +295,7 @@ def frequent_extensions(
     if m - 1 > index.n:
         return set()
     _, ends = index.frequent_blocks(m, gamma)
-    if k and len(ends):
+    if len(ends):
         ends = ends[index.ids(k)[ends - 1] == index.word_id(w)]
     data = index.data
     return {(Word(tuple(int(s) for s in data[e - m + 1 : e - k])), int(data[e])) for e in ends}

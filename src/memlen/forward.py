@@ -77,12 +77,6 @@ def occurrence_set(sample: Sample, w: Word) -> np.ndarray:
     return _kernels.occurrence_positions(sample.symbols, w.as_array(), 0, sample.n)
 
 
-def _suffixes(index: CountIndex, length: int, ends: np.ndarray) -> np.ndarray:
-    """Ids of the length-``length`` suffixes of the blocks ending at
-    ``ends``; the empty word is length 0's one block."""
-    return index.ids(length)[ends] if length else np.zeros(len(ends), dtype=np.int8)
-
-
 def _lookup(keys: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where each of ``x`` stands in the ascending ``keys``, and whether it
     is there."""
@@ -130,26 +124,23 @@ def _stopping_decision(
     coverage_idx = last_index
     selected: Optional[tuple[int, int]] = None
     for length, start, words, word_idx in batches:
-        if length:
-            # the ends length-1..n, less length-1 when the set starts at length
-            gain = index.l_count(length)[words].astype(np.int64)
-            if start == length:
-                gain -= words == index.ids(length)[length - 1]
-        else:
-            gain = np.full(len(words), n + 1, dtype=np.int64)
-        first = index.first_ends(length)[words] if length else np.zeros_like(words)
+        # the ends length-1..n, less length-1 when the set starts at length
+        # (the empty word keeps every end)
+        gain = index.l_count(length)[words].astype(np.int64)
+        if start == length > 0:
+            gain -= words == index.ids(length)[length - 1]
+        first = index.first_ends(length)[words]
         shadowed = np.zeros(len(words), dtype=bool)
         for other, (ids, gains) in read.items():
             if other <= length:  # a suffix of the candidate was read
-                shadowed |= _lookup(ids, _suffixes(index, other, first))[1]
+                shadowed |= _lookup(ids, index.ids(other)[first])[1]
             else:  # the ends already covered by the words extending it
-                suffixes = _suffixes(index, length, index.first_ends(other)[ids])
-                at, extends = _lookup(words, suffixes)
+                at, extends = _lookup(words, index.ids(length)[index.first_ends(other)[ids]])
                 np.subtract.at(gain, at[extends], gains[extends])
         gain[shadowed] = 0
         shares = (n_covered + np.cumsum(gain)) / (n + 1)
         count = min(int(np.searchsorted(shares, target)) + 1, len(words))
-        hit = np.flatnonzero(words[:count] == (index.ids(length)[n] if length else 0))
+        hit = np.flatnonzero(words[:count] == index.ids(length)[n])
         if selected is None and len(hit):
             selected = (int(word_idx[hit[0]]), length)
         coverage = float(shares[count - 1])
@@ -195,7 +186,7 @@ def decide_p(
         raise OutOfRangeError("supplied index does not cover exactly X_0..X_n")
     thr = params.test_threshold(n)
     l_max = index.max_frequent_length(params.gamma)
-    sizes = [1] + [index.n_ids(length) for length in range(1, l_max + 1)]
+    sizes = [index.n_ids(length) for length in range(l_max + 1)]
 
     def passing_words():
         # shortest first, then by id (lexicographic), so no word precedes its suffix
@@ -204,7 +195,7 @@ def decide_p(
             disc = discrepancy_by_length(index, length, params.gamma)
             words = np.flatnonzero(disc <= thr)
             if len(words):
-                yield length, max(length - 1, 0), words, offset + words
+                yield length, length - 1, words, offset + words
             offset += size
 
     return _stopping_decision(
@@ -235,10 +226,9 @@ class Reconstruction:
     def depth(self) -> int:
         return len(self.recurrence_times) - 1
 
-    def backward_array(self, depth: int | None = None) -> np.ndarray:
-        """Symbols in time order (oldest first) down to the given depth."""
-        d = self.depth if depth is None else depth
-        return np.asarray(self.symbols[: d + 1][::-1], dtype=np.int64)
+    def backward_array(self) -> np.ndarray:
+        """Symbols in time order (oldest first)."""
+        return np.asarray(self.symbols[::-1], dtype=np.int64)
 
 
 def _reconstruct(data: np.ndarray, anchor: int, horizon: int, max_depth: int) -> Reconstruction:

@@ -96,14 +96,14 @@ class GeometricJumpChain:
     probability exactly 1/4.
     """
 
-    def row(self, s: int, tail_cut: float = 1e-12) -> dict[int, float]:
-        """Row truncated once the remaining tail mass drops below tail_cut,
+    def row(self, s: int) -> dict[int, float]:
+        """Row truncated once the remaining tail mass drops below 1e-12,
         then renormalized.  Sampling never uses this: it walks the exact
         inverse CDF, so truncation affects validation only."""
         row = {j: 2.0 ** (-j - 2) for j in range(s)}
         row[s] = 2.0 ** (-s - 1)
         r = 1
-        while 2.0 ** (-r) >= tail_cut:
+        while 2.0 ** (-r) >= 1e-12:
             row[s + r] = 2.0 ** (-r - 1)
             r += 1
         total = sum(row.values())

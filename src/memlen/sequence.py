@@ -124,8 +124,6 @@ def suffix(sample: Sample, k: int) -> Word:
     """The last k symbols of the sample in time order; k = 0 is the empty word."""
     if k < 0 or k > len(sample):
         raise OutOfRangeError(f"suffix length {k} outside sample of length {len(sample)}")
-    if k == 0:
-        return EMPTY_WORD
     return Word(tuple(int(s) for s in sample.symbols[len(sample) - k :]))
 
 

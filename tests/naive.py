@@ -385,7 +385,8 @@ def finite_alphabet_memory_estimate(index, params, order):
 
 class SortedTableIndex(CountIndex):
     """A CountIndex whose per-length tables come from sorting; everything
-    read off the tables (context counts, decoding, l_max) is CountIndex's."""
+    read off the tables (context counts, decoding, l_max) is CountIndex's,
+    and so are the tables of length 0, the empty word's one block."""
 
     def __init__(self, sample):
         super().__init__(sample)
@@ -397,7 +398,7 @@ class SortedTableIndex(CountIndex):
 
     def ids(self, length):
         if length < 1:
-            raise ValueError("block ids are defined for length >= 1")
+            return super().ids(length)
         sym = self._sorted_ids[1]
         n1 = len(sym)
         for have in range(len(self._sorted_ids) + 1, length + 1):
@@ -417,10 +418,14 @@ class SortedTableIndex(CountIndex):
         return self._sorted_ids[length]
 
     def n_ids(self, length):
+        if length == 0:
+            return super().n_ids(0)
         self.ids(length)
         return self._sorted_n_ids[length]
 
     def l_count(self, length):
+        if length == 0:
+            return super().l_count(0)
         if length not in self._sorted_count:
             valid = self.ids(length)[length - 1 :]
             self._sorted_count[length] = np.bincount(
@@ -429,6 +434,8 @@ class SortedTableIndex(CountIndex):
         return self._sorted_count[length]
 
     def first_ends(self, length):
+        if length == 0:
+            return super().first_ends(0)
         valid = self.ids(length)[length - 1 :]
         first = np.full(self.n_ids(length), len(valid), dtype=np.int64)
         np.minimum.at(first, valid, np.arange(len(valid)))
@@ -444,6 +451,8 @@ class SortedTableIndex(CountIndex):
         return self._sorted_csr[length]
 
     def frequent_blocks(self, length, gamma):
+        if length == 0:
+            return super().frequent_blocks(0, gamma)
         key = (length, gamma)
         if key not in self._sorted_frequent:
             cnt = self.l_count(length)

@@ -1,10 +1,12 @@
 """The benchmark scripts in perfbench/ read the package by name.  Every name
 they import from memlen, and every attribute they read off a name bound to
-memlen, must exist, so that a change deleting one fails here rather than in
-a benchmark run.  The scripts are parsed, not imported."""
+memlen, must exist, and every keyword they pass to a memlen callable must
+be one of its parameters, so that a change deleting either fails here
+rather than in a benchmark run.  The scripts are parsed, not imported."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -12,9 +14,9 @@ import pytest
 SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
 
 
-def memlen_reads(tree: ast.AST) -> list[str]:
-    """Dotted paths a script reads from memlen: its imports from the package
-    and the attributes it reads off the names those imports bind."""
+def memlen_bindings(tree: ast.AST) -> tuple[list[str], dict[str, str]]:
+    """A script's imports from memlen, as dotted paths, and the local name
+    each import binds with the dotted path it binds it to."""
     bound: dict[str, str] = {}  # local name -> dotted path
     reads = []
     for node in ast.walk(tree):
@@ -30,19 +32,48 @@ def memlen_reads(tree: ast.AST) -> list[str]:
             for alias in node.names:
                 reads.append(f"{node.module}.{alias.name}")
                 bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return reads, bound
+
+
+def memlen_reads(tree: ast.AST) -> list[str]:
+    """Dotted paths a script reads from memlen: its imports from the package
+    and the attributes it reads off the names those imports bind."""
+    reads, bound = memlen_bindings(tree)
     for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id in bound
-        ):
-            reads.append(f"{bound[node.value.id]}.{node.attr}")
+        if isinstance(node, ast.Attribute) and (path := bound_path(node, bound)):
+            reads.append(path)
     return reads
 
 
-def resolves(path: str) -> bool:
-    """Whether the dotted path names a module, or an attribute chain off the
-    longest module prefix of it."""
+def bound_path(node: ast.AST, bound: dict[str, str]) -> str | None:
+    """The dotted path an expression names when it is a name bound to
+    memlen or an attribute read off one; None otherwise."""
+    if isinstance(node, ast.Name):
+        return bound.get(node.id)
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        base = bound.get(node.value.id)
+        return f"{base}.{node.attr}" if base else None
+    return None
+
+
+def memlen_calls(tree: ast.AST) -> list[tuple[str, list[str]]]:
+    """Each call a script makes to a name bound to memlen, or to an
+    attribute read off one: the callee's dotted path and the keywords
+    passed.  Calls on other objects, such as instances, are not listed."""
+    bound = memlen_bindings(tree)[1]
+    return [
+        (path, [kw.arg for kw in node.keywords if kw.arg is not None])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and (path := bound_path(node.func, bound))
+    ]
+
+
+MISSING = object()
+
+
+def resolve(path: str):
+    """What the dotted path names: a module, or an attribute chain off the
+    longest module prefix of it; MISSING if it names nothing."""
     parts = path.split(".")
     for cut in range(len(parts), 0, -1):
         try:
@@ -51,10 +82,27 @@ def resolves(path: str) -> bool:
             continue
         for attr in parts[cut:]:
             if not hasattr(obj, attr):
-                return False
+                return MISSING
             obj = getattr(obj, attr)
-        return True
-    return False
+        return obj
+    return MISSING
+
+
+def resolves(path: str) -> bool:
+    return resolve(path) is not MISSING
+
+
+def unknown_keywords(calls: list[tuple[str, list[str]]]) -> list[tuple[str, str]]:
+    """(callee, keyword) for each keyword passed to a memlen callable that
+    has no parameter of that name.  A callee that does not resolve is left
+    to the name check."""
+    unknown = []
+    for path, keywords in calls:
+        obj = resolve(path)
+        if callable(obj):
+            params = inspect.signature(obj).parameters
+            unknown += [(path, k) for k in keywords if k not in params]
+    return unknown
 
 
 def test_scripts_read_memlen():
@@ -74,3 +122,31 @@ def test_a_missing_name_is_reported():
     tree = ast.parse("import memlen\nfrom memlen.backward import gone\nmemlen.absent()\n")
     missing = [r for r in memlen_reads(tree) if not resolves(r)]
     assert missing == ["memlen.backward.gone", "memlen.absent"]
+
+
+def test_scripts_pass_keywords():
+    # guards against a parse that finds no call and passes vacuously
+    calls = [c for script in SCRIPTS for c in memlen_calls(ast.parse(script.read_text()))]
+    assert ("memlen.decide_p", ["index"]) in calls
+    assert ("memlen.forward.ReconstructionScheme", ["backward_estimator"]) in calls
+    assert ("memlen.read_sample", ["fmt"]) in calls
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_every_keyword_is_a_parameter(script):
+    tree = ast.parse(script.read_text(), filename=str(script))
+    assert unknown_keywords(memlen_calls(tree)) == []
+
+
+def test_a_missing_keyword_is_reported():
+    tree = ast.parse(
+        "import memlen\n"
+        "from memlen import decide_p\n"
+        "decide_p(s, p, index=i, gone=1)\n"
+        "memlen.read_sample(p, fmt='bin', absent=2)\n"
+        "scheme.decide(n=3, whatever=4)\n"
+    )
+    assert unknown_keywords(memlen_calls(tree)) == [
+        ("memlen.decide_p", "gone"),
+        ("memlen.read_sample", "absent"),
+    ]

@@ -181,6 +181,38 @@ class TestFrequentBlocks:
             assert (len(ids) > 0) == (length <= idx.max_frequent_length(gamma))
 
 
+class TestLengthZero:
+    """Length 0 is the empty word's one block: id 0 at each of the n + 1
+    ends, n of them contexts, first ending at 0.  Its id array is one zero
+    broadcast, read-only and allocating nothing per end."""
+
+    @pytest.mark.parametrize(
+        "syms, n",
+        [(np.full(41, 4), 40), (np.random.default_rng(20).integers(0, 3, size=500), 499)],
+        ids=["constant", "random"],
+    )
+    def test_tables(self, syms, n):
+        idx = index_of(syms)
+        ids = idx.ids(0)
+        assert ids.tolist() == [0] * (n + 1)
+        assert ids.strides == (0,)
+        assert not ids.flags.writeable
+        assert idx.n_ids(0) == 1
+        assert idx.l_count(0).tolist() == [n + 1]
+        assert idx.ctx_count(0).tolist() == [n]
+        assert idx.first_ends(0).tolist() == [0]
+        assert idx.decode(0, 0) == Word(())
+        assert idx.word_id(Word(())) == 0
+        assert [a.tolist() for a in idx.frequent_blocks(0, 0.5)] == [[0], [0]]
+
+    def test_negative_length_and_csr_raise(self):
+        idx = index_of([0, 1, 0, 1, 0])
+        with pytest.raises(ValueError):
+            idx.ids(-1)
+        with pytest.raises(ValueError):
+            idx.positions_by_id(0)
+
+
 class TestIndexAgainstNaive:
     """Index results must equal direct rescans on random queries."""
 

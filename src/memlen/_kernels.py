@@ -25,13 +25,14 @@ NUMBA_ENABLED = False
 def occurrence_positions(data, word, lo, hi):
     """End positions j in [lo, hi] at which ``word`` occurs in ``data``.
 
-    The empty word occurs at every position in range.  Otherwise the ends of
+    The empty word ends at every position in range down to -1, so as a
+    context it precedes every symbol, X_0 included.  Otherwise the ends of
     the word's last letter are narrowed one older letter at a time, keeping
     the ends whose symbol that many steps back matches.
     """
     data = np.asarray(data)
     k = len(word)
-    lo = max(lo, k - 1, 0)
+    lo = max(lo, k - 1)
     hi = min(hi, len(data) - 1)
     if lo > hi:
         return np.empty(0, dtype=np.int64)

@@ -53,15 +53,12 @@ class CondProbEstimate:
 
 def backward_recurrences(sample: Sample, center: int, k: int, count: int) -> RecurrenceTimes:
     """First ``count`` backward recurrence offsets of the length-k block
-    ending at ``center``; the list is shorter when the data run out."""
+    ending at ``center``; the list is shorter when the data run out.  The
+    empty block ends down to -1, so its offsets are 1..center+1."""
     _check_block(sample, center, k, count)
-    if k == 0:
-        # the empty block also "ends" at -1, one step before the sample
-        offs = np.arange(1, min(count, center + 1) + 1)
-    else:
-        block = sample.symbols[center - k + 1 : center + 1]
-        pos = _kernels.occurrence_positions(sample.symbols, block, k - 1, center - 1)
-        offs = center - pos[::-1][:count]
+    block = sample.symbols[center - k + 1 : center + 1]
+    pos = _kernels.occurrence_positions(sample.symbols, block, k - 1, center - 1)
+    offs = center - pos[::-1][:count]
     return RecurrenceTimes(
         center=center,
         word_length=k,
@@ -93,16 +90,14 @@ def _check_block(sample: Sample, center: int, k: int, count: int) -> None:
 
 def _successors(sample: Sample, k: int) -> np.ndarray:
     """Symbols that follow the earlier occurrences of the current length-k
-    suffix, one per occurrence.  With k = 0 the context is empty and every
-    position counts, X_0 included."""
+    suffix, one per earlier end; the empty suffix ends at -1..n-1, so its
+    successors are the whole sample, X_0 included."""
     if sample.orientation != "forward":
         raise ValueError("conditional-probability estimation reads a forward sample")
     n = sample.n
     data = sample.symbols
     if k < 0 or k > n:
         raise OutOfRangeError(f"memory length {k} outside sample")
-    if k == 0:
-        return data
     pos = _kernels.occurrence_positions(data, suffix(sample, k).as_array(), k - 1, n - 1)
     return data[pos + 1]
 
@@ -163,7 +158,8 @@ def estimate_markov_order(
     sample: Sample, params: EstimatorParams, index: CountIndex | None = None
 ) -> int:
     """Smallest k such that every frequent length-k context passes the
-    memory-word test; the sample length parameter if none does.
+    memory-word test; at most l_max + 1, where no block is frequent and the
+    test passes vacuously.
 
     Consistent for finite-order chains: below the true order some frequent
     context eventually fails, at the true order all pass.  Stands in for any
@@ -174,15 +170,15 @@ def estimate_markov_order(
     n = sample.n
     if index is None:
         index = forward_index(sample)
+    elif index.n != n:
+        raise OutOfRangeError("supplied index does not cover exactly X_0..X_n")
     thr = params.test_threshold(n)
     l_max = index.max_frequent_length(params.gamma)
-    for k in range(0, l_max + 2):
-        if k - 1 > n:
-            break
+    for k in range(l_max + 1):
         disc = discrepancy_by_length(index, k, params.gamma)
         if np.all(disc[index.frequent_blocks(k, params.gamma)[0]] <= thr):
             return k
-    return n
+    return l_max + 1
 
 
 @dataclass(frozen=True)
@@ -199,18 +195,18 @@ def cond_prob_markov(
     sample: Sample, params: EstimatorParams, index: CountIndex | None = None
 ) -> MarkovCondProb:
     """Conditional-probability estimates with the estimated order as suffix
-    length, emitted only when that suffix occurs at least n^(1-gamma) times;
-    out-of-set is a first-class result, not an error."""
+    length, emitted only when that suffix occurs at least n^(1-gamma) times
+    over the ends order-1..n (the empty suffix n + 1 times), as the index
+    counts it; out-of-set is a first-class result, not an error."""
     n = sample.n
     if index is None:
         index = forward_index(sample)
+    # refuses an index over any other sample length
     order = estimate_markov_order(sample, params, index=index)
-    estimates = estimate_successor_law(sample, order, method="MARKOV") if order <= n else {}
-    if estimates:
-        # the suffix occurs at its earlier ends and at n; the empty word everywhere
-        support = next(iter(estimates.values())).support_count
-        count = support if order == 0 else support + 1
-        if count >= params.frequency_cutoff(n):
+    # order <= l_max + 1, a length max_frequent_length has already built
+    if order <= n and index.l_count(order)[index.ids(order)[n]] >= params.frequency_cutoff(n):
+        estimates = estimate_successor_law(sample, order, method="MARKOV")
+        if estimates:
             return MarkovCondProb(time=n, in_stopping_set=True, order=order, estimates=estimates)
     return MarkovCondProb(time=n, in_stopping_set=False, order=order)
 
@@ -243,7 +239,7 @@ def iid_structure_test(
     """
     k = len(w)
     data = sample.symbols
-    if k > 0 and not np.array_equal(data[center - k + 1 : center + 1], w.as_array()):
+    if not np.array_equal(data[center - k + 1 : center + 1], w.as_array()):
         raise OutOfRangeError("the word does not end at the given center")
     back = backward_recurrences(sample, center, k, 100_000).backward_offsets[1:]
     fwd = forward_recurrences(sample, center, k, 100_000).forward_offsets[1:]

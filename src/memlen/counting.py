@@ -10,7 +10,8 @@ conventions coexist and are pinned by tests:
   position included).
 
 The empty word is length 0's one block: it ends at each of the n + 1
-positions 0..n, and n of them are contexts.
+positions 0..n, and n of them are contexts.  The occurrence scan reads
+successors instead, so there it ends at -1..n-1 and d[0] is a successor.
 
 The numerator of a conditional probability for (word, successor) equals the
 frequent-set count of the extended string word+successor, which is why a
@@ -192,7 +193,7 @@ class CountIndex:
         word is id 0."""
         k = len(word)
         if k == 0:
-            return 0
+            return 0  # the scan would list all n + 1 ends to read the first
         if k - 1 > self.n:
             return -1
         pos = _kernels.occurrence_positions(self.data, word.as_array(), k - 1, self.n)

@@ -72,14 +72,13 @@ EMPTY_WORD = Word()
 
 @dataclass(frozen=True)
 class Sample:
-    """An indexed finite realization with an explicit time origin.
+    """An indexed finite realization whose orientation fixes its time origin.
 
     ``symbols[i]`` is the value at time ``origin + i``.  Backward samples end
     at time 0, forward samples start at time 0.
     """
 
     symbols: np.ndarray
-    origin: int
     orientation: Orientation
 
     def __post_init__(self):
@@ -93,10 +92,6 @@ class Sample:
             raise ValueError("symbols must be nonnegative integers")
         arr.flags.writeable = False
         object.__setattr__(self, "symbols", arr)
-        if self.orientation == "backward" and self.origin + len(arr) - 1 != 0:
-            raise ValueError("a backward sample must end at time index 0")
-        if self.orientation == "forward" and self.origin != 0:
-            raise ValueError("a forward sample must start at time index 0")
 
     def __len__(self):
         return len(self.symbols)
@@ -107,17 +102,21 @@ class Sample:
         return len(self.symbols) - 1
 
     @property
+    def origin(self) -> int:
+        """Time index of ``symbols[0]``: -n backward, 0 forward."""
+        return -self.n if self.orientation == "backward" else 0
+
+    @property
     def last_index(self) -> int:
         return self.origin + len(self.symbols) - 1
 
     @classmethod
     def backward(cls, symbols) -> "Sample":
-        symbols = np.asarray(symbols)
-        return cls(symbols, origin=-(len(symbols) - 1), orientation="backward")
+        return cls(symbols, orientation="backward")
 
     @classmethod
     def forward(cls, symbols) -> "Sample":
-        return cls(symbols, origin=0, orientation="forward")
+        return cls(symbols, orientation="forward")
 
 
 def suffix(sample: Sample, k: int) -> Word:
@@ -167,8 +166,8 @@ class EstimatorParams:
 
 # ---------------------------------------------------------------------------
 # Sample file formats: text (one decimal symbol per line, LF) and binary
-# (32-bit little-endian unsigned, no header).  Orientation and origin are
-# caller-side metadata, not stored.
+# (32-bit little-endian unsigned, no header).  A file is read as a forward
+# sample; Sample.backward(read_sample(...).symbols) is its backward view.
 # ---------------------------------------------------------------------------
 
 
@@ -185,7 +184,7 @@ def write_sample(path: str | Path, sample: Sample, fmt: str = "txt") -> None:
         raise ValueError(f"unknown sample format {fmt!r}")
 
 
-def read_sample(path: str | Path, fmt: str = "txt", orientation: Orientation = "forward") -> Sample:
+def read_sample(path: str | Path, fmt: str = "txt") -> Sample:
     path = Path(path)
     if fmt == "txt":
         data = np.loadtxt(path, dtype=np.int64, ndmin=1)
@@ -193,6 +192,4 @@ def read_sample(path: str | Path, fmt: str = "txt", orientation: Orientation = "
         data = np.fromfile(path, dtype="<u4").astype(np.int64)
     else:
         raise ValueError(f"unknown sample format {fmt!r}")
-    if orientation == "forward":
-        return Sample.forward(data)
-    return Sample.backward(data)
+    return Sample.forward(data)

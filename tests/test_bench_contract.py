@@ -2,13 +2,16 @@
 they import from memlen, and every attribute they read off a name bound to
 memlen, must exist, and every keyword they pass to a memlen callable must
 be one of its parameters, so that a change deleting either fails here
-rather than in a benchmark run.  The scripts are parsed, not imported."""
+rather than in a benchmark run.  The scripts are parsed, not imported.  The
+per-symbol call that the traced run times without an index must build
+none."""
 
 import ast
 import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
@@ -150,3 +153,25 @@ def test_a_missing_keyword_is_reported():
         ("memlen.decide_p", "gone"),
         ("memlen.read_sample", "absent"),
     ]
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_per_symbol_estimate_builds_no_index(monkeypatch, k):
+    """perfbench/traced.py times ``estimate_cond_prob(sample, k, x)`` once
+    per emitted symbol, with no index to hand it, so an index build inside
+    that call is multiplied into the traced layers.  Building one there
+    raised jump-wide ``condprob.fm_s`` from 70-93 ms to 378-388 ms (2-core
+    VM, numpy fallback) and pushed ``trace.accounted_share`` above its
+    0.8-1.25 band.  This test goes once the traced run passes its index to
+    the call."""
+    import memlen.counting
+    from memlen import Sample, estimate_cond_prob, forward_index
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("estimate_cond_prob built a CountIndex")
+
+    sample = Sample.forward(np.arange(200) % 3)
+    monkeypatch.setattr(memlen.counting.CountIndex, "__init__", refuse)
+    with pytest.raises(AssertionError, match="built a CountIndex"):
+        forward_index(sample)  # the patch is in force
+    assert estimate_cond_prob(sample, k, 1).support_count > 0

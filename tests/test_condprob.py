@@ -7,6 +7,7 @@ import naive
 from memlen import (
     EstimatorParams,
     InsufficientRecurrencesError,
+    OutOfRangeError,
     Sample,
     UndefinedConditionalError,
     Word,
@@ -170,6 +171,29 @@ class TestMarkovOrder:
             with pytest.raises(ValueError, match="reads a forward sample"):
                 estimate(s, EstimatorParams())
 
+    def test_prefix_index_rejected(self):
+        # a prefix's counts must not meet the full sample's n^-beta threshold
+        s = Sample.forward(np.arange(301) % 2)
+        idx = forward_index(Sample.forward(s.symbols[:200]))
+        for estimate in (estimate_markov_order, cond_prob_markov):
+            with pytest.raises(OutOfRangeError, match="does not cover"):
+                estimate(s, EstimatorParams(), index=idx)
+
+    @given(
+        st.one_of(
+            st.lists(st.integers(0, 2), min_size=2, max_size=200),
+            st.tuples(st.integers(0, 2), st.integers(2, 200)).map(lambda t: [t[0]] * t[1]),
+        ),
+        st.sampled_from(PARAM_GRID),
+    )
+    @settings(max_examples=80)
+    def test_at_most_one_past_max_frequent_length(self, syms, params):
+        # no block of length l_max + 1 is frequent, so that length always passes
+        s = Sample.forward(syms)
+        idx = forward_index(s)
+        order = estimate_markov_order(s, params, index=idx)
+        assert 0 <= order <= idx.max_frequent_length(params.gamma) + 1
+
 
 class TestCondProbMarkov:
     def test_order_one_rows_recovered(self):
@@ -188,6 +212,17 @@ class TestCondProbMarkov:
         assert out.in_stopping_set
         for x, est in out.estimates.items():
             assert est.qhat == estimate_cond_prob(s, out.order, x).qhat
+
+    def test_order_zero_is_the_marginal(self):
+        # the empty suffix ends at 0..n: n + 1 occurrences, X_0..X_n its successors
+        rng = np.random.default_rng(11)
+        s = Sample.forward(rng.integers(0, 3, size=3001))
+        out = cond_prob_markov(s, EstimatorParams())
+        assert out.in_stopping_set and out.order == 0
+        assert set(out.estimates) == {0, 1, 2}
+        for x, est in out.estimates.items():
+            assert est.support_count == s.n + 1
+            assert est.qhat == estimate_cond_prob(s, 0, x).qhat
 
     def test_estimates_sum_to_one(self, order2_kernel):
         s = generate(order2_kernel, 5_000, seed=5)

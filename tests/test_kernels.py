@@ -16,10 +16,12 @@ def test_occurrence_positions_matches_scan(seed):
     data = rng.integers(0, 3, size=300).astype(np.int64)
     for k in (0, 1, 2, 4):
         word = rng.integers(0, 3, size=k).astype(np.int64)
-        for _ in range(10):
-            lo, hi = sorted(int(x) for x in rng.integers(-2, 305, size=2))
+        # the fixed ranges reach below 0, where the empty word ends at -1
+        ranges = [(-2, 3), (-1, -1)] + [sorted(rng.integers(-2, 305, size=2)) for _ in range(10)]
+        for lo, hi in ranges:
+            lo, hi = int(lo), int(hi)
             got = K.occurrence_positions(data, word, lo, hi)
-            assert list(got) == naive.scan_ends(data, word, max(lo, 0), hi)
+            assert list(got) == naive.scan_ends(data, word, lo, hi)
 
 
 @pytest.mark.parametrize(

@@ -122,15 +122,16 @@ class TestFileFormats:
         path = tmp_path / "s.txt"
         write_sample(path, s, fmt="txt")
         assert path.read_bytes() == b"0\n7\n123456\n2\n"
-        back = read_sample(path, fmt="txt", orientation="forward")
+        back = read_sample(path, fmt="txt")
         assert np.array_equal(back.symbols, s.symbols)
+        assert back.orientation == "forward"
 
     def test_bin_roundtrip(self, tmp_path):
         s = Sample.forward(list(range(10)))
         path = tmp_path / "s.bin"
         write_sample(path, s, fmt="bin")
         assert path.stat().st_size == 4 * 10
-        back = read_sample(path, fmt="bin", orientation="backward")
+        back = Sample.backward(read_sample(path, fmt="bin").symbols)
         assert np.array_equal(back.symbols, s.symbols)
         assert back.orientation == "backward"
 

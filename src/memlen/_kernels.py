@@ -2,8 +2,9 @@
 
 Counting over the sample (occurrence scans, dense block ids) is vectorised
 numpy; block ids come from one bincount per length where the table of
-(older symbol, previous id) pairs fits in n + 2 cells, and from one stable
-radix pass otherwise.  The samplers draw the same uniforms and make the
+(older symbol, previous id) pairs fits in 2(n + 2) cells, and from one
+stable radix pass otherwise, into work buffers the caller keeps.  No sort
+runs numpy's timsort.  The samplers draw the same uniforms and make the
 same float comparisons as a step-by-step walk: the finite, geometric jump,
 ladder and renewal chains by numpy scans, the perturbed jump chain by a
 loop over the geometric jump chain's step maps.
@@ -54,17 +55,27 @@ def occurrence_positions(data, word, lo, hi):
 # id), and ordering the pairs orders the blocks.  Two passes rank the pairs:
 #
 # * the table pass codes each pair as one integer below
-#   n_symbols * n_ids(L-1); where that table fits in the sample's n + 2
-#   cells, one bincount over it gives the counts, the running count of
-#   occupied cells gives the ids, and no sort is made.  The codes and the
+#   n_symbols * n_ids(L-1); where that table fits in 2(n + 2) cells, twice
+#   the padded symbol key, one bincount over it gives the counts, the
+#   running count of occupied cells gives the ids, and no sort is made.  Its
+#   transients are at most 17 bytes a cell (counts 8, presence 1, ranks up
+#   to 4, earliest ends 4), so at that size they are of the order of the
+#   radix pass's fresh bytes: its permutation at 8 bytes per end, and its
+#   run starts, counts and earliest ends at 16 per id.  The codes and the
 #   end indices live in work buffers the caller keeps from one length to
 #   the next, so a length allocates only its own tables;
 # * the radix pass takes the ends sorted by their length-(L-1) block and
 #   sorts them by their length-L block with one stable bucket pass over the
 #   older symbol: the LSD radix refinement behind Manber & Myers (1993).
-#   numpy runs a stable argsort of a key of 16 bits or fewer as a radix
-#   sort, so below 32768 symbols no length needs a comparison sort.  The
-#   pass reads only the previous length's sorted ends and their ids.
+#   The pass reads only the previous length's sorted ends and their ids,
+#   and writes the next ones into two more buffers the caller keeps, so a
+#   length allocates only the sort's permutation, the run starts and its
+#   own tables.
+#
+# numpy runs a stable argsort of 16 bits or fewer as a radix sort and a
+# wider one as timsort; ``stable_order`` sorts wider values as distinct
+# (value, position) keys instead, so neither the radix pass's key above
+# 32767 symbols nor the ends sorted from int32 ids run timsort.
 # ---------------------------------------------------------------------------
 
 
@@ -77,11 +88,34 @@ def narrow_int(count):
     return np.int16 if count <= 32767 else np.int32
 
 
+def stable_order(values):
+    """The permutation ``np.argsort(values, kind="stable")`` gives, for
+    integers of at most 32 bits.
+
+    numpy sorts a stable argsort of 16 bits or fewer by radix and a wider
+    one by timsort (about ten times slower at n = 1e6).  Wider values are
+    instead written beside their positions as distinct int64 keys,
+    value * 2^32 + position, and sorted in place; the order of distinct keys
+    needs no stable sort, and the low halves of the sorted keys are the
+    permutation.
+    """
+    if values.dtype.itemsize <= 2:
+        return np.argsort(values, kind="stable")
+    keys = np.arange(len(values), dtype="<i8")
+    keys.view("<i4")[1::2] = values
+    keys.sort()
+    keys &= 0xFFFFFFFF
+    return keys
+
+
 def table_block_ids(pad_key, prev_ids, n_prev, length, code, ends):
     """Tables of the length-``length`` blocks (length >= 1) from the ids of
     the length-(length-1) blocks, by one bincount over the table of
     (older symbol, previous id) pairs.  The table has
-    ``pad_key[0] * n_prev`` cells; the caller keeps it within n + 2.
+    ``pad_key[0] * n_prev`` cells; the caller keeps it within 2(n + 2), where
+    its transients (the counts, presence, ranks and earliest ends of each
+    cell, at most 17 bytes a cell) are of the order of a radix pass's fresh
+    bytes.
 
     ``pad_key`` is the symbol key behind one sentinel slot: ``pad_key[j + 1]``
     is the key of the symbol at j and ``pad_key[0]``, one above every symbol
@@ -116,37 +150,57 @@ def table_block_ids(pad_key, prev_ids, n_prev, length, code, ends):
     return ids, np.compress(present, counts, out=np.empty(n_ids, dtype=np.int32)), first[present]
 
 
-def extend_block_ids(pad_key, prev_order, prev_trail, length):
+def extend_block_ids(
+    pad_key, symbol_counts, prev_order, prev_trail, length, order, trail, key, new
+):
     """Tables of the length-``length`` blocks (length >= 2) from the sorted
     ends of the length-(length-1) blocks, by one stable radix pass.
 
-    ``pad_key`` is as for ``table_block_ids``.  ``prev_order`` holds the
+    ``pad_key`` is as for ``table_block_ids`` and ``symbol_counts`` counts
+    each symbol key over the whole sample.  ``prev_order`` holds the
     ends length-2..n sorted by length-(length-1) id, ascending within each
-    id, and ``prev_trail`` the id of each sorted end.
+    id, and ``prev_trail`` the id of each sorted end (both int32).
+    ``order`` and ``trail`` (int32), ``key`` (``pad_key``'s type) and
+    ``new`` (bool) are the caller's work buffers of at least
+    ``len(prev_order)`` cells, none of them one of the inputs: the pass
+    writes into them and makes only the sort's permutation, the run starts
+    and its own tables.
 
     Returns, for the ends length-1..n: the id of each end (-1 before
-    length-1), the ends sorted the same way and the id of each sorted end,
-    both to be passed to the next length, and the count and earliest end of
-    each id (int32).
+    length-1), the ends sorted the same way and the id of each sorted end
+    (the leading cells of ``order`` and ``trail``, to be passed to the next
+    length), and the count and earliest end of each id (int32).
     """
+    n_prev = len(prev_order)
+    n_sorted = n_prev - 1
     # the block ending at e gains the symbol at e - (length - 1); the end
     # length - 2, which is too short, reads the sentinel, sorts last and is
-    # cut off
-    key = pad_key[prev_order - (length - 2)]
-    by_key = np.argsort(key, kind="stable")[:-1]
-    order = prev_order[by_key]
-    key = key[by_key]
-    trail = prev_trail[by_key]
-    # an id's run starts where the symbol or the trailing id changes; the
-    # last flag closes the final run
-    new = np.ones(len(order) + 1, dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=new[1:-1])
-    new[1:-1] |= trail[1:] != trail[:-1]
+    # cut off.  Every index is in range, so no bounds check (which would
+    # buffer the output) is needed
+    at = np.subtract(prev_order, length - 2, out=trail[:n_prev])
+    key = np.take(pad_key, at, out=key[:n_prev], mode="clip")
+    by_key = stable_order(key)[:-1]
+    order = np.take(prev_order, by_key, out=order[:n_sorted], mode="clip")
+    trail = np.take(prev_trail, by_key, out=trail[:n_sorted], mode="clip")
+    # an id's run starts where the trailing id changes or a symbol's bucket
+    # begins, and the last flag closes the final run.  A symbol's bucket
+    # holds the blocks it starts: its count less the length - 1 newest
+    # symbols, which start none
+    new = new[: n_sorted + 1]
+    new[0] = True
+    np.not_equal(trail[1:], trail[:-1], out=new[1:-1])
+    sizes = symbol_counts.astype(np.intp)
+    np.subtract.at(sizes, pad_key[n_sorted + 1 :], 1)
+    new[np.cumsum(sizes)] = True
     starts = np.flatnonzero(new)
-    counts = np.diff(starts).astype(np.int32)
-    dtype = narrow_int(len(counts))
-    trail = np.repeat(np.arange(len(counts), dtype=dtype), counts)
-    ids = np.full(len(pad_key) - 1, -1, dtype=dtype)
+    n_ids = len(starts) - 1
+    counts = np.empty(n_ids, dtype=np.int32)
+    np.subtract(starts[1:], starts[:-1], out=counts, casting="unsafe")
+    # the id of each sorted end is the number of runs started up to it, less 1
+    np.copyto(trail, new[:-1])
+    np.cumsum(trail, out=trail)
+    trail -= 1
+    ids = np.full(len(pad_key) - 1, -1, dtype=narrow_int(n_ids))
     ids[order] = trail
     return ids, order, trail, counts, order[starts[:-1]]
 

@@ -44,18 +44,24 @@ class CountIndex:
     length builds every length up to it, in order.  A length-L block is an
     older symbol followed by a length-(L - 1) block, and length L is built
     from length L - 1 by one of two passes, chosen by the size of the table
-    of (older symbol, length-(L - 1) id) pairs.  Where the
-    table has no more cells than the padded symbol key (n + 2), one bincount
-    over it ranks the pairs without a sort; length 1 always fits.  Otherwise
+    of (older symbol, length-(L - 1) id) pairs.  Where the table has no more
+    cells than twice the padded symbol key, 2(n + 2), one bincount over it
+    ranks the pairs without a sort; length 1 always fits.  At that size the
+    table's transients are of the order of the radix pass's.  Otherwise
     one stable radix pass over the blocks' oldest symbols refines the ends
     sorted by length L - 1 into the ends sorted by length L.  That pass needs
     the previous length's ends sorted by id, and the id of each: the index
-    carries them only while the newest length was radix-built, and sorts
-    them once from the ids when the previous length came from the table.
-    While the newest length was table-built, the index carries instead the
-    table pass's work buffers, the pairs' codes and the end indices (12
-    bytes per end), so that each table-built length allocates only its own
-    tables; the first radix length drops them.
+    carries them while the newest length was radix-built, and sorts them
+    once from the ids when the previous length came from the table.  With
+    them it keeps the pass's work buffers: a second pair of sorted ends and
+    ids that the next pass writes into, the two pairs swapping roles at
+    each length, the symbol keys and the run flags, about 18 bytes per end
+    in all.  While the newest length was table-built, the index carries
+    instead the table pass's work buffers, the pairs' codes and the end
+    indices (12 bytes per end).  Either way a length allocates only its own
+    tables and, in the radix pass, the sort's permutation and the run
+    starts; the first length of the other pass drops the buffers.  No sort
+    in the index runs numpy's timsort (``_kernels.stable_order``).
     Nothing else in the index lists a block's ends.  The earliest end of an
     id stands for its block: ``decode`` reads the block there, and the
     forward stopping rule reads there the block's suffix at every shorter
@@ -92,9 +98,11 @@ class CountIndex:
         self._l_count = {0: _read_only(np.array([self.n + 1], dtype=np.int32))}
         self._first = {0: _read_only(np.zeros(1, dtype=np.int32))}
         # what the newest length's pass hands to the next length, tagged by
-        # that pass: "radix", the sorted ends and the id of each; "table", the
-        # table pass's code and end buffers (n + 1 cells each)
-        self._carry: tuple[str, np.ndarray, np.ndarray] | None = None
+        # that pass: "radix", the sorted ends and the id of each, then the
+        # pass's work buffers (the next sorted ends and ids, the symbol keys
+        # and the run flags); "table", the table pass's code and end buffers
+        # (n + 1 cells each)
+        self._carry: tuple | None = None
         self._ctx_count: dict[int, np.ndarray] = {}
         self._frequent: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
         self._l_max: dict[float, int] = {}
@@ -113,7 +121,8 @@ class CountIndex:
         while have < length:
             n_prev = self.n_ids(have)
             have += 1
-            kind = "table" if len(self.symbol_values) * n_prev <= len(self._pad_key) else "radix"
+            cells = len(self.symbol_values) * n_prev
+            kind = "table" if cells <= 2 * len(self._pad_key) else "radix"
             if self._carry is not None and self._carry[0] != kind:
                 self._carry = None  # the other pass's carry goes first
             if kind == "table":
@@ -125,12 +134,19 @@ class CountIndex:
                 )
             else:
                 if self._carry is None:
+                    # sorted by id, the ends' ids are each id repeated by its count
                     ends = self._sorted_ends(have - 1)
-                    self._carry = (kind, ends, self._ids[have - 1][ends])
-                ids, order, trail, counts, first = _kernels.extend_block_ids(
-                    self._pad_key, *self._carry[1:], have
+                    trail = np.repeat(np.arange(n_prev, dtype=np.int32), self._l_count[have - 1])
+                    spare = (np.empty_like(ends), np.empty_like(trail))
+                    key = np.empty(len(ends), dtype=self._pad_key.dtype)
+                    self._carry = (kind, ends, trail, *spare, key, np.empty(len(ends), dtype=bool))
+                _, ends, trail, *work = self._carry
+                ids, order, new_trail, counts, first = _kernels.extend_block_ids(
+                    self._pad_key, self._l_count[1], ends, trail, have, *work
                 )
-                self._carry = (kind, _read_only(order), trail)
+                # the next length reads this length's sorted ends and writes
+                # into the buffers they were read from
+                self._carry = (kind, order, new_trail, ends, trail, *work[2:])
             self._ids[have], self._l_count[have] = _read_only(ids), _read_only(counts)
             self._first[have] = _read_only(first)
         return self._ids[length]
@@ -180,13 +196,13 @@ class CountIndex:
         counts = self.l_count(length)
         offsets = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        return self._sorted_ends(length), _read_only(offsets)
+        return _read_only(self._sorted_ends(length)), _read_only(offsets)
 
     def _sorted_ends(self, length: int) -> np.ndarray:
         """Ends length-1..n of a built length, sorted stably by id."""
-        positions = np.argsort(self._ids[length][length - 1 :], kind="stable").astype(np.int32)
+        positions = _kernels.stable_order(self._ids[length][length - 1 :]).astype(np.int32)
         positions += length - 1
-        return _read_only(positions)
+        return positions
 
     def word_id(self, word: Word) -> int:
         """Dense id of the word at its length, or -1 if absent; the empty

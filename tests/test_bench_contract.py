@@ -175,3 +175,51 @@ def test_per_symbol_estimate_builds_no_index(monkeypatch, k):
     with pytest.raises(AssertionError, match="built a CountIndex"):
         forward_index(sample)  # the patch is in force
     assert estimate_cond_prob(sample, k, 1).support_count > 0
+
+
+def test_traced_warm_adds_no_kernel_call(monkeypatch):
+    """perfbench/traced.py repeats each decision on its own index, first
+    warming it as ``_warm`` does: ids(2..l_max + 1), then
+    ``max_frequent_length``.  Its ``trace.accounted_share`` compares the
+    traced layers with the untraced CLI call, so a CLI call that leaves any
+    of those lengths unbuilt (skipped, deferred or tiered) makes the traced
+    run do more work than the CLI, and the share rises past its 0.8-1.25
+    band.  After each call the CLI makes on an index, that replay must
+    build nothing."""
+    from memlen import (
+        EstimatorParams,
+        GeometricJumpChain,
+        backward_memory_estimate,
+        decide_p,
+        estimate_markov_order,
+        forward_index,
+        generate,
+    )
+    from memlen import _kernels
+
+    calls = []
+    for name in ("table_block_ids", "extend_block_ids"):
+
+        def counted(*args, _kernel=getattr(_kernels, name), _name=name):
+            calls.append(_name)
+            return _kernel(*args)
+
+        monkeypatch.setattr(_kernels, name, counted)
+    params = EstimatorParams()
+    sample = generate(GeometricJumpChain(), 20_000, seed=4)
+    l_max = forward_index(sample).max_frequent_length(params.gamma)
+    cli_calls = {
+        "backward": lambda idx: backward_memory_estimate(idx, params),
+        "forward-p": lambda idx: decide_p(sample, params, index=idx),
+        "condprob-markov": lambda idx: estimate_markov_order(sample, params, index=idx),
+    }
+    for scheme, call in cli_calls.items():
+        idx = forward_index(sample)
+        call(idx)
+        built = len(calls)
+        for length in range(2, l_max + 2):
+            idx.ids(length)
+        assert idx.max_frequent_length(params.gamma) == l_max
+        assert calls[built:] == [], scheme
+    # both passes ran, so a wrapper that is never called cannot pass vacuously
+    assert {"table_block_ids", "extend_block_ids"} <= set(calls)

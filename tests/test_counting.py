@@ -285,9 +285,10 @@ def table_samples():
 
 def passes(index, top):
     """'T' or 'R' for each length 1..top: whether the table of (older
-    symbol, previous id) pairs fits in the n + 2 cells of the padded key."""
+    symbol, previous id) pairs fits in 2(n + 2) cells, twice the padded
+    key."""
     n_prev = [1] + [index.n_ids(length) for length in range(1, top)]
-    fits = [len(index.symbol_values) * n <= index.n + 2 for n in n_prev]
+    fits = [len(index.symbol_values) * n <= 2 * (index.n + 2) for n in n_prev]
     return "".join("T" if f else "R" for f in fits)
 
 
@@ -323,7 +324,17 @@ class TestAgainstSortedTables:
     def test_samples(self, name):
         idx = self.assert_same_tables(table_samples()[name])
         if name == "switch":
-            assert passes(idx, idx.n + 3) == "TT" + "R" * 33 + "T" * 8
+            assert passes(idx, idx.n + 3) == "TT" + "R" * 26 + "T" * 15
+
+    def test_radix_after_an_int32_table_length(self):
+        # four symbols at n = 1e5: the table pass builds lengths 1-8, the
+        # last with more ids than int16 holds, so the first radix length
+        # sorts its ends from int32 ids.  The wider gamma keeps frequent
+        # blocks up to length 10, past that switch
+        syms = np.random.default_rng(12).integers(0, 4, size=100_001)
+        idx = self.assert_same_tables(syms, gamma=0.9)
+        first_radix = passes(idx, idx.max_frequent_length(0.9) + 1).index("R") + 1
+        assert idx.ids(first_radix - 1).dtype == np.int32
 
     @pytest.mark.parametrize("n_symbols", sorted(WIDE_ALPHABETS))
     def test_wide_alphabets(self, n_symbols):
@@ -470,7 +481,7 @@ class TestTablePassBuffers:
             for name, idx in indexes.items():
                 if length <= tops[name]:
                     idx.ids(length)
-        assert passes(indexes["switch"], tops["switch"]) == "TT" + "R" * 33 + "T" * 7
+        assert passes(indexes["switch"], tops["switch"]) == "TT" + "R" * 26 + "T" * 14
         for name, idx in indexes.items():
             alone = index_of(samples[name])
             alone.ids(tops[name])
@@ -486,6 +497,68 @@ class TestTablePassBuffers:
             ids = [idx.ids(length) for length in range(1, tops[name] + 1)]
             for i, a in enumerate(ids):
                 assert not any(np.shares_memory(a, b) for b in ids[i + 1 :])
+
+
+class TestRadixPassBuffers:
+    """While its newest length is radix-built, an index keeps two pairs of
+    sorted ends and ids (int32), which swap roles at each length, and the
+    pass's symbol keys and run flags: 18 bytes per end below 128 symbols.
+    A radix length writes into them and allocates only the sort's
+    permutation, the run starts and its own tables; no table it keeps is a
+    view of the buffers."""
+
+    # numpy's cast and iterator buffers, in chunks of 8192 elements
+    SLACK = 2**18
+
+    def test_radix_length_allocates_only_its_tables(self):
+        s = generate(GeometricJumpChain(), 200_000, seed=3)
+        probe = forward_index(s)
+        top = probe.max_frequent_length(0.5) + 1
+        assert passes(probe, top) == "TTTT" + "R" * 5
+        assert len(probe.symbol_values) < 128
+        idx = forward_index(s)
+        idx.ids(4)
+        ends = idx.n + 1
+        for length in range(5, top + 1):
+            tracemalloc.start()
+            try:
+                idx.ids(length)
+                retained, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            n_ids = idx.n_ids(length)
+            # the ids, and the counts and earliest ends (int32)
+            tables = idx.ids(length).itemsize * ends + 8 * n_ids
+            # the permutation and the run starts (intp)
+            made = 8 * ends + 8 * (n_ids + 1)
+            # the carried buffers, made by the first radix length
+            kept = 18 * ends if length == 5 else 0
+            assert peak < kept + made + tables + self.SLACK
+            assert retained < kept + tables + self.SLACK
+
+    def test_buffers_stay_with_their_index(self):
+        # two jump samples built length by length in turn, through their
+        # radix lengths, give the tables of an index built alone, and no
+        # two kept tables share memory
+        samples = {seed: generate(GeometricJumpChain(), 5000, seed=seed).symbols for seed in (5, 6)}
+        indexes = {seed: index_of(syms) for seed, syms in samples.items()}
+        top = max(index_of(syms).max_frequent_length(0.5) for syms in samples.values()) + 3
+        for length in range(1, top + 1):
+            for idx in indexes.values():
+                idx.ids(length)
+        for seed, idx in indexes.items():
+            assert "RRR" in passes(idx, top)
+            alone = index_of(samples[seed])
+            alone.ids(top)
+            tables = []
+            for length in range(1, top + 1):
+                tables += [idx.ids(length), idx.l_count(length), idx.first_ends(length)]
+                assert np.array_equal(idx.ids(length), alone.ids(length))
+                assert idx.ids(length).dtype == alone.ids(length).dtype
+                assert np.array_equal(idx.l_count(length), alone.l_count(length))
+                assert np.array_equal(idx.first_ends(length), alone.first_ends(length))
+            for i, a in enumerate(tables):
+                assert not any(np.shares_memory(a, b) for b in tables[i + 1 :])
 
 
 class TestSymbolKey:

@@ -26,18 +26,18 @@ def test_occurrence_positions_matches_scan(seed):
 
 @pytest.mark.parametrize(
     "seed, n_symbols",
-    [(seed, 3) for seed in range(5)] + [(5, 20)],
-    ids=[str(seed) for seed in range(5)] + ["20-symbols"],
+    [(seed, 3) for seed in range(5)] + [(5, 40)],
+    ids=[str(seed) for seed in range(5)] + ["40-symbols"],
 )
 def test_extend_block_ids_rank_blocks_lexicographically(seed, n_symbols):
     # theta and kappa index words in this order.  Three symbols take the
-    # table pass at every length; twenty take the radix pass at lengths 2-5,
-    # where the table of (older symbol, previous id) pairs outgrows n + 2
+    # table pass at every length; forty take the radix pass at lengths 2-5,
+    # where the table of (older symbol, previous id) pairs outgrows 2(n + 2)
     rng = np.random.default_rng(10 + seed)
     data = rng.integers(0, n_symbols, size=300)
     index = CountIndex(Sample.backward(data))
     for length in (2, 3, 4, 5):
-        by_table = n_symbols * index.n_ids(length - 1) <= len(data) + 1
+        by_table = n_symbols * index.n_ids(length - 1) <= 2 * (len(data) + 1)
         assert by_table == (n_symbols == 3)
         ids, n_ids = index.ids(length), index.n_ids(length)
         blocks = [tuple(data[j - length + 1 : j + 1]) for j in range(length - 1, len(data))]
@@ -45,6 +45,18 @@ def test_extend_block_ids_rank_blocks_lexicographically(seed, n_symbols):
         assert n_ids == len(rank)
         assert list(ids[: length - 1]) == [-1] * (length - 1)
         assert list(ids[length - 1 :]) == [rank[b] for b in blocks]
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
+@pytest.mark.parametrize("size", [0, 1, 2, 1000])
+def test_stable_order_is_the_stable_argsort(dtype, size):
+    # few distinct values, so most keys tie; the int32 values span the
+    # type's range, negative values included
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(size)
+    values = rng.choice([info.min, -1, 0, 3, info.max], size=size).astype(dtype)
+    got = K.stable_order(values)
+    assert np.array_equal(got, np.argsort(values, kind="stable"))
 
 
 def test_sampler_streams_agree_with_python_loop():
